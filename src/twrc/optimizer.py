@@ -23,6 +23,11 @@ auxiliary variables. A closed-form shortcut covers cells (R2,T3) and
 (R2,T4), where it is provably optimal; the (R2,T5) closed form is exposed
 separately because it is not optimal on all of its cell.
 
+Every rate bound, in the objective, the SLSQP constraint and its
+Jacobian, and dual recovery, is evaluated by
+:class:`~twrc.rate_region.RateKernel`, and every pentagon corner by
+:func:`~twrc.rate_region.pentagon_corner`.
+
 All rates are log base 2 (bits per channel use).
 """
 
@@ -34,16 +39,19 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, lsq_linear, minimize
+from scipy.optimize import minimize, nnls
 
 from .channel import LinkGains, validate_gains
 from .errors import NoRootError, ValidationError, WrongRegimeError
 from .rate_region import (
     PowerAllocation,
     RateConstraints,
+    RateKernel,
     RatePoint,
+    allocation_inputs,
     best_weighted_point,
     compute_constraints,
+    pentagon_corner,
 )
 from .regimes import SchemeAssignment, Technique, classify
 
@@ -154,49 +162,25 @@ def _validate_mu(mu: float) -> float:
 
 
 class _Objective:
-    """Scalar/batch evaluation of the reduced 4-variable program."""
+    """Scalar/batch evaluation of the reduced 4-variable program on the
+    relay face ``beta3 = p - pw1 - pw2``."""
 
-    __slots__ = (
-        "p", "mu", "favor1", "relay1", "relay2", "direct2", "beam2",
-        "direct1", "beam1", "cross1", "cross2", "base2", "base4",
-    )
+    __slots__ = ("p", "mu", "favor1", "kernel")
 
     def __init__(self, g: LinkGains, mu: float):
         self.p = g.p
         self.mu = mu
         self.favor1 = mu >= 0.5
-        self.relay1 = g.gr1 ** 2
-        self.relay2 = g.gr2 ** 2
-        self.direct2 = g.g21 ** 2
-        self.beam2 = g.g2r ** 2
-        self.direct1 = g.g12 ** 2
-        self.beam1 = g.g1r ** 2
-        self.cross1 = 2.0 * g.g21 * g.g2r
-        self.cross2 = 2.0 * g.g12 * g.g1r
-        self.base2 = self.direct2 * g.p
-        self.base4 = self.direct1 * g.p
+        self.kernel = RateKernel(g)
 
     def rates(self, x: Sequence[float]) -> tuple[float, float]:
         a1, a2, q1, q2 = x
         p = self.p
-        arg1 = self.relay1 * (p - a1)
-        arg3 = self.relay2 * (p - a2)
-        j1 = math.log2(1.0 + arg1)
-        j3 = math.log2(1.0 + arg3)
-        j5 = math.log2(1.0 + arg1 + arg3)
         c1 = q1 * a1
         c2 = q2 * a2
-        arg2 = self.base2 + self.cross1 * math.sqrt(c1 if c1 > 0.0 else 0.0) + self.beam2 * (p - q2)
-        arg4 = self.base4 + self.cross2 * math.sqrt(c2 if c2 > 0.0 else 0.0) + self.beam1 * (p - q1)
-        j2 = math.log2(1.0 + arg2)
-        j4 = math.log2(1.0 + arg4)
-        if self.favor1:
-            r1 = min(j1, j2, j5)
-            r2 = min(j3, j4, j5 - r1)
-        else:
-            r2 = min(j3, j4, j5)
-            r1 = min(j1, j2, j5 - r2)
-        return r1, r2
+        j = self.kernel.bounds(p - a1, p - a2, math.sqrt(c1 if c1 > 0.0 else 0.0),
+                               math.sqrt(c2 if c2 > 0.0 else 0.0), p - q2, p - q1)
+        return pentagon_corner(*j, self.favor1)
 
     def value(self, x: Sequence[float]) -> float:
         r1, r2 = self.rates(x)
@@ -204,21 +188,8 @@ class _Objective:
 
     def value_batch(self, a1, a2, q1, q2):
         p = self.p
-        arg1 = self.relay1 * (p - a1)
-        arg3 = self.relay2 * (p - a2)
-        j1 = np.log2(1.0 + arg1)
-        j3 = np.log2(1.0 + arg3)
-        j5 = np.log2(1.0 + arg1 + arg3)
-        arg2 = self.base2 + self.cross1 * np.sqrt(q1 * a1) + self.beam2 * (p - q2)
-        arg4 = self.base4 + self.cross2 * np.sqrt(q2 * a2) + self.beam1 * (p - q1)
-        j2 = np.log2(1.0 + arg2)
-        j4 = np.log2(1.0 + arg4)
-        if self.favor1:
-            r1 = np.minimum(np.minimum(j1, j2), j5)
-            r2 = np.minimum(np.minimum(j3, j4), j5 - r1)
-        else:
-            r2 = np.minimum(np.minimum(j3, j4), j5)
-            r1 = np.minimum(np.minimum(j1, j2), j5 - r2)
+        j = self.kernel.bounds(p - a1, p - a2, np.sqrt(q1 * a1), np.sqrt(q2 * a2), p - q2, p - q1)
+        r1, r2 = pentagon_corner(*j, self.favor1)
         return self.mu * r1 + (1.0 - self.mu) * r2 + _TIE_BONUS * (r1 + r2)
 
 
@@ -332,14 +303,20 @@ def _refine(obj: _Objective, x, val, max_cycles: int) -> tuple[tuple, float]:
 
 
 def _polish(obj: _Objective, x, val) -> tuple[tuple, float]:
-    """SLSQP on the lifted smooth formulation; fall back to x on failure."""
+    """SLSQP on the lifted smooth formulation; fall back to x on failure.
+
+    The variables are ``z = (r1, r2, alpha1, alpha2, pw1, pw2, s1, s2)``.
+    One vector constraint holds the five rate bounds ``j - r >= 0``, the
+    rotated cones ``pw_i * alpha_i - s_i**2 >= 0`` and the relay simplex.
+    """
     p = obj.p
-    ln2 = _LN2
+    k = obj.kernel
     a1, a2, q1, q2 = x
     r1, r2 = obj.rates(x)
     z0 = np.array([r1, r2, a1, a2, q1, q2,
                    math.sqrt(max(q1 * a1, 0.0)), math.sqrt(max(q2 * a2, 0.0))])
-    rate_cap = math.log2(1.0 + (obj.relay1 + obj.relay2) * p) + 1.0
+    # box cap on the rate variables, one bit above the largest j5
+    rate_cap = math.log2(1.0 + (k.relay1 + k.relay2) * p) + 1.0
     bounds = [(0.0, rate_cap), (0.0, rate_cap)] + [(0.0, p)] * 6
     mu = obj.mu
 
@@ -350,96 +327,35 @@ def _polish(obj: _Objective, x, val) -> tuple[tuple, float]:
     obj_jac[0] = -mu
     obj_jac[1] = -(1.0 - mu)
 
-    def c_relay1(z):
-        return math.log2(1.0 + obj.relay1 * (p - z[2])) - z[0]
+    def inputs(z):
+        return p - z[2], p - z[3], z[6], z[7], p - z[5], p - z[4]
 
-    def c_relay1_jac(z):
-        jac = np.zeros(8)
-        jac[0] = -1.0
-        jac[2] = -obj.relay1 / ((1.0 + obj.relay1 * (p - z[2])) * ln2)
+    def cons(z):
+        j1, j2, j3, j4, j5 = k.bounds(*inputs(z))
+        return np.array([j1 - z[0], j2 - z[0], j3 - z[1], j4 - z[1], j5 - z[0] - z[1],
+                         z[4] * z[2] - z[6] * z[6], z[5] * z[3] - z[7] * z[7],
+                         p - z[4] - z[5]])
+
+    jac_fixed = np.zeros((8, 8))  # the entries that do not depend on z
+    jac_fixed[[0, 1, 4], 0] = -1.0
+    jac_fixed[[2, 3, 4], 1] = -1.0
+    jac_fixed[7, [4, 5]] = -1.0
+
+    def cons_jac(z):
+        d1, d2, d3, d4, d5 = (arg * _LN2 for arg in k.log_args(*inputs(z)))
+        jac = jac_fixed.copy()
+        jac[0, 2] = -k.relay1 / d1
+        jac[1, 5] = -k.beam2 / d2
+        jac[1, 6] = k.cross1 / d2
+        jac[2, 3] = -k.relay2 / d3
+        jac[3, 4] = -k.beam1 / d4
+        jac[3, 7] = k.cross2 / d4
+        jac[4, 2] = -k.relay1 / d5
+        jac[4, 3] = -k.relay2 / d5
+        jac[5, [2, 4, 6]] = z[4], z[2], -2.0 * z[6]
+        jac[6, [3, 5, 7]] = z[5], z[3], -2.0 * z[7]
         return jac
 
-    def c_user2(z):
-        arg = obj.base2 + obj.cross1 * z[6] + obj.beam2 * (p - z[5])
-        return math.log2(1.0 + arg) - z[0]
-
-    def c_user2_jac(z):
-        arg = obj.base2 + obj.cross1 * z[6] + obj.beam2 * (p - z[5])
-        den = (1.0 + arg) * ln2
-        jac = np.zeros(8)
-        jac[0] = -1.0
-        jac[5] = -obj.beam2 / den
-        jac[6] = obj.cross1 / den
-        return jac
-
-    def c_relay2(z):
-        return math.log2(1.0 + obj.relay2 * (p - z[3])) - z[1]
-
-    def c_relay2_jac(z):
-        jac = np.zeros(8)
-        jac[1] = -1.0
-        jac[3] = -obj.relay2 / ((1.0 + obj.relay2 * (p - z[3])) * ln2)
-        return jac
-
-    def c_user1(z):
-        arg = obj.base4 + obj.cross2 * z[7] + obj.beam1 * (p - z[4])
-        return math.log2(1.0 + arg) - z[1]
-
-    def c_user1_jac(z):
-        arg = obj.base4 + obj.cross2 * z[7] + obj.beam1 * (p - z[4])
-        den = (1.0 + arg) * ln2
-        jac = np.zeros(8)
-        jac[1] = -1.0
-        jac[4] = -obj.beam1 / den
-        jac[7] = obj.cross2 / den
-        return jac
-
-    def c_sum(z):
-        return math.log2(1.0 + obj.relay1 * (p - z[2]) + obj.relay2 * (p - z[3])) - z[0] - z[1]
-
-    def c_sum_jac(z):
-        den = (1.0 + obj.relay1 * (p - z[2]) + obj.relay2 * (p - z[3])) * ln2
-        jac = np.zeros(8)
-        jac[0] = -1.0
-        jac[1] = -1.0
-        jac[2] = -obj.relay1 / den
-        jac[3] = -obj.relay2 / den
-        return jac
-
-    def c_cone1(z):
-        return z[4] * z[2] - z[6] * z[6]
-
-    def c_cone1_jac(z):
-        jac = np.zeros(8)
-        jac[2] = z[4]
-        jac[4] = z[2]
-        jac[6] = -2.0 * z[6]
-        return jac
-
-    def c_cone2(z):
-        return z[5] * z[3] - z[7] * z[7]
-
-    def c_cone2_jac(z):
-        jac = np.zeros(8)
-        jac[3] = z[5]
-        jac[5] = z[3]
-        jac[7] = -2.0 * z[7]
-        return jac
-
-    simplex_jac = np.zeros(8)
-    simplex_jac[4] = -1.0
-    simplex_jac[5] = -1.0
-
-    constraints = [
-        {"type": "ineq", "fun": c_relay1, "jac": c_relay1_jac},
-        {"type": "ineq", "fun": c_user2, "jac": c_user2_jac},
-        {"type": "ineq", "fun": c_relay2, "jac": c_relay2_jac},
-        {"type": "ineq", "fun": c_user1, "jac": c_user1_jac},
-        {"type": "ineq", "fun": c_sum, "jac": c_sum_jac},
-        {"type": "ineq", "fun": c_cone1, "jac": c_cone1_jac},
-        {"type": "ineq", "fun": c_cone2, "jac": c_cone2_jac},
-        {"type": "ineq", "fun": lambda z: p - z[4] - z[5], "jac": lambda z: simplex_jac},
-    ]
     try:
         with warnings.catch_warnings():
             # SLSQP warns when its line search steps momentarily outside the
@@ -447,7 +363,7 @@ def _polish(obj: _Objective, x, val) -> tuple[tuple, float]:
             warnings.filterwarnings("ignore", message=".*outside bounds.*")
             res = minimize(
                 objective, z0, jac=lambda z: obj_jac, method="SLSQP",
-                bounds=bounds, constraints=constraints,
+                bounds=bounds, constraints={"type": "ineq", "fun": cons, "jac": cons_jac},
                 options={"maxiter": 200, "ftol": 1e-14},
             )
     except (ValueError, FloatingPointError):  # pragma: no cover - scipy guard
@@ -492,20 +408,20 @@ def _optimize(obj: _Objective) -> tuple[tuple, float]:
 def _min_beta3(obj: _Objective, x, r1: float, r2: float) -> float:
     """Smallest beta3 preserving the achieved rates (no coherent power)."""
     a1, a2, q1, q2 = x
+    k = obj.kernel
     room = obj.p - q1 - q2
     need = 0.0
-    base1 = obj.base2 + obj.cross1 * math.sqrt(max(q1 * a1, 0.0)) + obj.beam2 * q1
+    base1, base2 = k.user_snrs(math.sqrt(max(q1 * a1, 0.0)), math.sqrt(max(q2 * a2, 0.0)), q1, q2)
     deficit1 = (2.0 ** r1 - 1.0) - base1
     if deficit1 > 0.0:
-        if obj.beam2 <= 0.0:
+        if k.beam2 <= 0.0:
             return room
-        need = max(need, deficit1 / obj.beam2)
-    base2 = obj.base4 + obj.cross2 * math.sqrt(max(q2 * a2, 0.0)) + obj.beam1 * q2
+        need = max(need, deficit1 / k.beam2)
     deficit2 = (2.0 ** r2 - 1.0) - base2
     if deficit2 > 0.0:
-        if obj.beam1 <= 0.0:
+        if k.beam1 <= 0.0:
             return room
-        need = max(need, deficit2 / obj.beam1)
+        need = max(need, deficit2 / k.beam1)
     return min(need, room)
 
 
@@ -529,14 +445,12 @@ def _infer_assignment(g: LinkGains, alloc: PowerAllocation, rates: RatePoint) ->
         deficit = (2.0 ** rate - 1.0) - base
         return deficit > act * relay_gain_sq
 
-    base1 = (g.g21 ** 2 * g.p
-             + 2.0 * g.g21 * g.g2r * math.sqrt(max(alloc.pw1 * alloc.alpha1, 0.0))
-             + g.g2r ** 2 * alloc.pw1)
-    base2 = (g.g12 ** 2 * g.p
-             + 2.0 * g.g12 * g.g1r * math.sqrt(max(alloc.pw2 * alloc.alpha2, 0.0))
-             + g.g1r ** 2 * alloc.pw2)
-    ind1 = needs_bin(rates.r1, base1, g.g2r ** 2)
-    ind2 = needs_bin(rates.r2, base2, g.g1r ** 2)
+    k = RateKernel(g)
+    base1, base2 = k.user_snrs(math.sqrt(max(alloc.pw1 * alloc.alpha1, 0.0)),
+                               math.sqrt(max(alloc.pw2 * alloc.alpha2, 0.0)),
+                               alloc.pw1, alloc.pw2)
+    ind1 = needs_bin(rates.r1, base1, k.beam2)
+    ind2 = needs_bin(rates.r2, base2, k.beam1)
 
     if bm1 and bm2:
         user1 = Technique.BOTH if ind1 else Technique.BM
@@ -573,21 +487,8 @@ def _recover_duals(g: LinkGains, mu: float, alloc: PowerAllocation,
     active = [slacks[i] <= rate_tol[i] for i in range(5)]
     active += [slacks[i] <= pw_tol for i in range(5, 8)]
 
-    ln2 = _LN2
-    arg1 = g.gr1 ** 2 * alloc.beta1
-    arg3 = g.gr2 ** 2 * alloc.beta2
-    arg5 = arg1 + arg3
-    cross1 = 2.0 * g.g21 * g.g2r
-    cross2 = 2.0 * g.g12 * g.g1r
-    arg2 = (g.g21 ** 2 * p + cross1 * math.sqrt(max(alloc.pw1 * alloc.alpha1, 0.0))
-            + g.g2r ** 2 * (alloc.pw1 + alloc.beta3))
-    arg4 = (g.g12 ** 2 * p + cross2 * math.sqrt(max(alloc.pw2 * alloc.alpha2, 0.0))
-            + g.g1r ** 2 * (alloc.pw2 + alloc.beta3))
-    den1 = (1.0 + arg1) * ln2
-    den2 = (1.0 + arg2) * ln2
-    den3 = (1.0 + arg3) * ln2
-    den4 = (1.0 + arg4) * ln2
-    den5 = (1.0 + arg5) * ln2
+    k = RateKernel(g)
+    den1, den2, den3, den4, den5 = (arg * _LN2 for arg in k.log_args(*allocation_inputs(alloc)))
 
     interior = 1e-7 * max(1.0, p)
     rows: list[tuple[list[float], float, float]] = []
@@ -595,23 +496,23 @@ def _recover_duals(g: LinkGains, mu: float, alloc: PowerAllocation,
     rows.append(([1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], mu, weight))
     rows.append(([0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0], 1.0 - mu, weight))
     if alloc.beta1 > interior:
-        rows.append(([g.gr1 ** 2 / den1, 0.0, 0.0, 0.0, g.gr1 ** 2 / den5, -1.0, 0.0, 0.0], 0.0, 1.0))
+        rows.append(([k.relay1 / den1, 0.0, 0.0, 0.0, k.relay1 / den5, -1.0, 0.0, 0.0], 0.0, 1.0))
     if alloc.beta2 > interior:
-        rows.append(([0.0, 0.0, g.gr2 ** 2 / den3, 0.0, g.gr2 ** 2 / den5, 0.0, -1.0, 0.0], 0.0, 1.0))
+        rows.append(([0.0, 0.0, k.relay2 / den3, 0.0, k.relay2 / den5, 0.0, -1.0, 0.0], 0.0, 1.0))
     if alloc.alpha1 > interior and alloc.pw1 > interior:
-        slope = cross1 * 0.5 * math.sqrt(alloc.pw1 / alloc.alpha1) / den2
+        slope = k.cross1 * 0.5 * math.sqrt(alloc.pw1 / alloc.alpha1) / den2
         rows.append(([0.0, slope, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0], 0.0, 1.0))
     if alloc.alpha2 > interior and alloc.pw2 > interior:
-        slope = cross2 * 0.5 * math.sqrt(alloc.pw2 / alloc.alpha2) / den4
+        slope = k.cross2 * 0.5 * math.sqrt(alloc.pw2 / alloc.alpha2) / den4
         rows.append(([0.0, 0.0, 0.0, slope, 0.0, 0.0, -1.0, 0.0], 0.0, 1.0))
     if alloc.pw1 > interior:
-        slope = (cross1 * 0.5 * math.sqrt(alloc.alpha1 / alloc.pw1) + g.g2r ** 2) / den2
+        slope = (k.cross1 * 0.5 * math.sqrt(alloc.alpha1 / alloc.pw1) + k.beam2) / den2
         rows.append(([0.0, slope, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0], 0.0, 1.0))
     if alloc.pw2 > interior:
-        slope = (cross2 * 0.5 * math.sqrt(alloc.alpha2 / alloc.pw2) + g.g1r ** 2) / den4
+        slope = (k.cross2 * 0.5 * math.sqrt(alloc.alpha2 / alloc.pw2) + k.beam1) / den4
         rows.append(([0.0, 0.0, 0.0, slope, 0.0, 0.0, 0.0, -1.0], 0.0, 1.0))
     if alloc.beta3 > interior:
-        rows.append(([0.0, g.g2r ** 2 / den2, 0.0, g.g1r ** 2 / den4, 0.0, 0.0, 0.0, -1.0], 0.0, 1.0))
+        rows.append(([0.0, k.beam2 / den2, 0.0, k.beam1 / den4, 0.0, 0.0, 0.0, -1.0], 0.0, 1.0))
 
     free = [i for i in range(8) if active[i]]
     lam = [0.0] * 8
@@ -619,13 +520,10 @@ def _recover_duals(g: LinkGains, mu: float, alloc: PowerAllocation,
         a_mat = np.array([[row[i] * w for i in free] for row, rhs, w in rows])
         b_vec = np.array([rhs * w for row, rhs, w in rows])
         try:
-            # scipy's bounded least squares can hit inf*0 internally when a
-            # reflected step lands exactly on a bound; the result is fine.
-            with np.errstate(invalid="ignore"):
-                sol = lsq_linear(a_mat, b_vec, bounds=(0.0, np.inf))
-            for idx, value in zip(free, sol.x):
+            sol, _ = nnls(a_mat, b_vec)
+            for idx, value in zip(free, sol):
                 lam[idx] = float(value)
-        except (ValueError, np.linalg.LinAlgError):  # pragma: no cover - scipy guard
+        except (ValueError, RuntimeError):  # pragma: no cover - scipy guard
             pass
 
     comp = max(lam[i] * abs(slacks[i]) for i in range(8))
@@ -686,10 +584,9 @@ def _finalize(obj: _Objective, g: LinkGains, mu: float, x, method: str) -> Solve
     alternate = None
     ambiguous = False
     if mu == 0.5:
-        r2_alt = min(cons.j3, cons.j4, cons.j5)
-        r1_alt = min(cons.j1, cons.j2, max(cons.j5 - r2_alt, 0.0))
-        if abs(r1_alt - rates.r1) > 1e-12 or abs(r2_alt - rates.r2) > 1e-12:
-            alternate = RatePoint(r1=r1_alt, r2=r2_alt)
+        other = best_weighted_point(cons, 0.0)
+        if abs(other.r1 - rates.r1) > 1e-12 or abs(other.r2 - rates.r2) > 1e-12:
+            alternate = other
             ambiguous = True
     diagnostics = _recover_duals(g, mu, alloc, cons, rates)
     return SolveResult(
@@ -804,9 +701,9 @@ def solve_r2t5(g: LinkGains, mu: float) -> SolveResult:
 
     The bin power is pinned by user 1's delivered-rate constraint,
     ``beta3 = (gr1**2 - g21**2) * p / g2r**2``, the relay spends the rest
-    coherently for user 2, and user 2's split solves ``j4 = j5 - j1`` by
-    scalar root finding. Raises :class:`NoRootError` when that equation
-    has no root in ``(0, p]``, which happens exactly when
+    coherently for user 2, and user 2's split solves ``j4 = j5 - j1``, a
+    quadratic in ``sqrt(alpha2)``. Raises :class:`NoRootError` when that
+    equation has no root in ``(0, p]``, which happens exactly when
     ``gr2**2 <= (g12**2 + g1r**2) * (1 + gr1**2 * p)``, gains outside
     this case's validity. Raises :class:`WrongRegimeError` when
     ``gr1**2`` falls outside ``[g21**2, g21**2 + g2r**2]``.
@@ -834,18 +731,18 @@ def solve_r2t5(g: LinkGains, mu: float) -> SolveResult:
     beta3 = min(beta3, p)
     pw2 = max(p - beta3, 0.0)
     scale = 1.0 + relay1 * p
-    cross2 = 2.0 * g.g12 * g.g1r
-
-    def gap(alpha2: float) -> float:
-        coherent = cross2 * math.sqrt(max(pw2 * alpha2, 0.0))
-        return (direct1 * p + coherent + beam1 * p) * scale - relay2 * (p - alpha2)
-
-    if gap(0.0) >= 0.0:
+    # j4 = j5 - j1 reads relay2 * s**2 + b * s + c = 0 in s = sqrt(alpha2),
+    # with c the equation's value at alpha2 = 0
+    c = (direct1 * p + beam1 * p) * scale - relay2 * p
+    if c >= 0.0:
         raise NoRootError(
             f"j4 = j5 - j1 has no root in (0, p]: gr2^2 = {relay2!r} does not exceed "
             f"(g12^2 + g1r^2) * (1 + gr1^2 * p) = {(direct1 + beam1) * scale!r}"
         )
-    alpha2 = float(brentq(gap, 0.0, p, xtol=1e-15 * max(1.0, p), rtol=8.882e-16, maxiter=200))
+    # c < 0 < relay2: exactly one positive root, in cancellation-free form
+    b = 2.0 * g.g12 * g.g1r * math.sqrt(pw2) * scale
+    s = -2.0 * c / (b + math.sqrt(b * b - 4.0 * relay2 * c))
+    alpha2 = min(s * s, p)  # the root lies in (0, p]; min absorbs rounding
     alloc = PowerAllocation(
         alpha1=0.0, beta1=p, alpha2=alpha2, beta2=p - alpha2,
         pw1=0.0, pw2=pw2, beta3=beta3,

@@ -2,7 +2,8 @@
 
 This module is the ground truth the analytic solver is validated against:
 it enumerates reparameterized power allocations on a lattice, evaluates
-the five rate bounds at every point, collects both pentagon corners, and
+the five rate bounds at every point with
+:class:`~twrc.rate_region.RateKernel`, collects both pentagon corners, and
 convex-hulls the result. Restricted variants (block Markov only,
 independent only, direct only, time sharing) reuse the same machinery so
 containment comparisons are exact: every restricted lattice is a literal
@@ -25,10 +26,9 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .channel import Geometry, LinkGains, gains_from_geometry, validate_gains, validate_geometry
-from .errors import CoincidentNodesError, GridCapError, SideConditionError, ValidationError
+from .errors import CoincidentNodesError, GridCapError, SideConditionError, ValidationError, WrongRegimeError
 from .optimizer import ACTIVITY_THRESHOLD, SolveResult, min_relay_power, solve
-from .errors import WrongRegimeError
-from .rate_region import PowerAllocation, RatePoint, capacity
+from .rate_region import PowerAllocation, RateKernel, RatePoint, capacity, pentagon_corner
 from .regimes import Regime, SchemeAssignment, classify, technique_lookup
 
 DEFAULT_GRID_CAP = 10 ** 8
@@ -104,11 +104,12 @@ def _resolve_cap(cap: Optional[int]) -> int:
 
 def _levels(p: float, step: float) -> np.ndarray:
     """Lattice 0, step, 2*step, ... plus p itself when step does not
-    divide p (the final cell is then shorter than step)."""
+    divide p (the final cell is then shorter than step). No level exceeds
+    p, which ``n * step`` can by rounding."""
     if p <= 0.0:
         return np.zeros(1)
     n = int(math.floor(p / step + 1e-9))
-    vals = np.linspace(0.0, n * step, n + 1)
+    vals = np.minimum(np.linspace(0.0, n * step, n + 1), p)
     if n * step < p - 1e-12 * max(1.0, p):
         vals = np.append(vals, p)
     return vals
@@ -126,22 +127,10 @@ def _simplex_pairs(levels: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray
 
 
 def _corner_rates(g: LinkGains, a1, b1, a2, b2, q1, q2, b3):
-    """Both pentagon corners for a batch of allocations (numpy arrays)."""
-    p = g.p
-    arg1 = g.gr1 ** 2 * b1
-    arg3 = g.gr2 ** 2 * b2
-    j1 = np.log2(1.0 + arg1)
-    j3 = np.log2(1.0 + arg3)
-    j5 = np.log2(1.0 + arg1 + arg3)
-    arg2 = g.g21 ** 2 * p + 2.0 * g.g21 * g.g2r * np.sqrt(q1 * a1) + g.g2r ** 2 * (q1 + b3)
-    arg4 = g.g12 ** 2 * p + 2.0 * g.g12 * g.g1r * np.sqrt(q2 * a2) + g.g1r ** 2 * (q2 + b3)
-    j2 = np.log2(1.0 + arg2)
-    j4 = np.log2(1.0 + arg4)
-    r1a = np.minimum(np.minimum(j1, j2), j5)
-    r2a = np.minimum(np.minimum(j3, j4), j5 - r1a)
-    r2b = np.minimum(np.minimum(j3, j4), j5)
-    r1b = np.minimum(np.minimum(j1, j2), j5 - r2b)
-    return r1a, r2a, r1b, r2b
+    """Both pentagon corners for a batch of allocations (numpy arrays):
+    user 1's ``(r1a, r2a)``, then user 2's ``(r1b, r2b)``."""
+    j = RateKernel(g).bounds(b1, b2, np.sqrt(q1 * a1), np.sqrt(q2 * a2), q1 + b3, q2 + b3)
+    return (*pentagon_corner(*j, True), *pentagon_corner(*j, False))
 
 
 _Batch = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -149,14 +138,15 @@ _Batch = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 def _face_batches(levels: np.ndarray, p: float, q1p: np.ndarray, q2p: np.ndarray,
                   zero_bin: bool) -> Iterator[_Batch]:
-    """Lattice over (a1, a2, relay simplex) with b3 = p - q1 - q2, or
-    b3 = 0 for the block-Markov-only variant."""
+    """Lattice over (a1, a2, relay simplex) with b3 = p - q1 - q2 (clamped
+    at 0, as q1 + q2 may round past p), or b3 = 0 for the
+    block-Markov-only variant."""
     n = len(levels)
     m = len(q1p)
     a2 = np.repeat(levels, m)
     q1 = np.tile(q1p, n)
     q2 = np.tile(q2p, n)
-    b3 = np.zeros_like(q1) if zero_bin else p - q1 - q2
+    b3 = np.zeros_like(q1) if zero_bin else np.maximum(p - q1 - q2, 0.0)
     for a1_val in levels:
         a1 = np.full_like(a2, a1_val)
         valid = ((q1 <= 0.0) | (a1 > 0.0)) & ((q2 <= 0.0) | (a2 > 0.0))

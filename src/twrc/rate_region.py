@@ -17,12 +17,18 @@ The relay splits its budget between the two coherent components (``pw1``,
 replace the unbounded per-user scaling factors ``k_i`` via
 ``pw_i = k_i * alpha_i``, which keeps the feasible set identical while
 making it compact.
+
+The bound formulas are written once, in :class:`RateKernel`, and the
+corner rule once, in :func:`pentagon_corner`; both evaluate floats or
+numpy arrays, and the solver and the grid oracle go through them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .channel import LinkGains
 from .errors import InfeasibleAllocationError, ValidationError
@@ -142,27 +148,92 @@ def validate_allocation(a: PowerAllocation, p: float) -> PowerAllocation:
     return a
 
 
+class RateKernel:
+    """The five rate bounds as functions of the gains: the one place their
+    formulas are written.
+
+    The inputs are the fresh-message powers ``beta1``/``beta2``, the
+    coherent couplings ``s1 = sqrt(pw1 * alpha1)`` and
+    ``s2 = sqrt(pw2 * alpha2)``, and the relay power forwarded to each
+    receiving user, ``f1 = pw1 + beta3`` (carrying user 1's message to
+    user 2) and ``f2 = pw2 + beta3``. Callers that search the relay face
+    pass ``f1 = p - pw2`` and ``f2 = p - pw1`` directly. The inputs are
+    either all floats, evaluated with :mod:`math`, or numpy arrays,
+    evaluated elementwise with numpy.
+
+    The attributes are the gain products the bounds are built from;
+    derivative code (the SLSQP Jacobian, dual recovery) reads them too.
+    """
+
+    __slots__ = ("relay1", "relay2", "beam1", "beam2", "cross1", "cross2", "base2", "base4")
+
+    def __init__(self, g: LinkGains):
+        self.relay1 = g.gr1 ** 2
+        self.relay2 = g.gr2 ** 2
+        self.beam1 = g.g1r ** 2
+        self.beam2 = g.g2r ** 2
+        self.cross1 = 2.0 * g.g21 * g.g2r
+        self.cross2 = 2.0 * g.g12 * g.g1r
+        self.base2 = g.g21 ** 2 * g.p
+        self.base4 = g.g12 ** 2 * g.p
+
+    def user_snrs(self, s1, s2, f1, f2):
+        """Received SNR of user 1's message at user 2 and of user 2's at
+        user 1: the direct link at full power, the coherent cross term and
+        the forwarded relay power."""
+        return (self.base2 + self.cross1 * s1 + self.beam2 * f1,
+                self.base4 + self.cross2 * s2 + self.beam1 * f2)
+
+    def log_args(self, beta1, beta2, s1, s2, f1, f2):
+        """The arguments of ``log2`` in ``j1``..``j5``."""
+        arg1 = self.relay1 * beta1
+        arg3 = self.relay2 * beta2
+        snr2, snr4 = self.user_snrs(s1, s2, f1, f2)
+        return 1.0 + arg1, 1.0 + snr2, 1.0 + arg3, 1.0 + snr4, 1.0 + arg1 + arg3
+
+    def bounds(self, beta1, beta2, s1, s2, f1, f2):
+        """``(j1, j2, j3, j4, j5)`` in bits per channel use."""
+        x1, x2, x3, x4, x5 = self.log_args(beta1, beta2, s1, s2, f1, f2)
+        log2 = np.log2 if isinstance(x1, np.ndarray) else math.log2
+        return log2(x1), log2(x2), log2(x3), log2(x4), log2(x5)
+
+
+def allocation_inputs(a: PowerAllocation) -> tuple[float, float, float, float, float, float]:
+    """:class:`RateKernel` inputs ``(beta1, beta2, s1, s2, f1, f2)`` of a
+    valid allocation."""
+    return (a.beta1, a.beta2, math.sqrt(a.pw1 * a.alpha1), math.sqrt(a.pw2 * a.alpha2),
+            a.pw1 + a.beta3, a.pw2 + a.beta3)
+
+
 def compute_constraints(g: LinkGains, a: PowerAllocation, *, validate: bool = True) -> RateConstraints:
     """Evaluate the five rate bounds for gains ``g`` and allocation ``a``.
 
     The user-side bounds ``j2``/``j4`` use the full budget ``p`` in their
     direct-link term regardless of the split chosen at the transmitter,
     plus the coherent cross term ``2 * g * g * sqrt(pw_i * alpha_i)`` and
-    the relay's forwarded power.
+    the relay's forwarded power (see :class:`RateKernel`).
     """
     if validate:
         validate_allocation(a, g.p)
-    cross1 = 2.0 * g.g21 * g.g2r * math.sqrt(a.pw1 * a.alpha1)
-    cross2 = 2.0 * g.g12 * g.g1r * math.sqrt(a.pw2 * a.alpha2)
-    arg1 = g.gr1 ** 2 * a.beta1
-    arg3 = g.gr2 ** 2 * a.beta2
-    return RateConstraints(
-        j1=math.log2(1.0 + arg1),
-        j2=math.log2(1.0 + g.g21 ** 2 * g.p + cross1 + g.g2r ** 2 * (a.pw1 + a.beta3)),
-        j3=math.log2(1.0 + arg3),
-        j4=math.log2(1.0 + g.g12 ** 2 * g.p + cross2 + g.g1r ** 2 * (a.pw2 + a.beta3)),
-        j5=math.log2(1.0 + arg1 + arg3),
-    )
+    return RateConstraints(*RateKernel(g).bounds(*allocation_inputs(a)))
+
+
+def pentagon_corner(j1, j2, j3, j4, j5, favor1: bool):
+    """The pentagon corner favoring user 1 (``favor1``) or user 2, as
+    ``(r1, r2)``: the favored user takes the most its bounds and ``j5``
+    allow and the other user the rest. Floats or numpy arrays."""
+    min3 = _min3_array if isinstance(j1, np.ndarray) else min
+    if favor1:
+        r1 = min3(j1, j2, j5)
+        r2 = min3(j3, j4, j5 - r1)
+    else:
+        r2 = min3(j3, j4, j5)
+        r1 = min3(j1, j2, j5 - r2)
+    return r1, r2
+
+
+def _min3_array(a, b, c):
+    return np.minimum(np.minimum(a, b), c)
 
 
 def best_weighted_point(c: RateConstraints, mu: float) -> RatePoint:
@@ -170,19 +241,15 @@ def best_weighted_point(c: RateConstraints, mu: float) -> RatePoint:
 
     For ``mu >= 1/2`` this is the corner favoring user 1, symmetric for
     ``mu < 1/2`` (at ``mu = 1/2`` the two corners tie; the user-1 corner
-    is returned). Each coordinate is clamped into the feasible region, so
-    the result stays feasible even for hand-built constraint tuples where
-    ``j5 < min(j1, j2)``.
+    is returned). The corner is feasible for any nonnegative constraint
+    tuple, including hand-built ones where ``j5 < min(j1, j2)``: the
+    favored rate never exceeds ``j5``, so the other user's share
+    ``j5 - r`` is nonnegative.
     """
     if not 0.0 <= mu <= 1.0:
         raise ValidationError(f"mu must lie in [0, 1], got {mu!r}")
     for name in ("j1", "j2", "j3", "j4", "j5"):
         if getattr(c, name) < 0:
             raise ValidationError(f"rate constraint {name} must be nonnegative, got {getattr(c, name)!r}")
-    if mu >= 0.5:
-        r1 = min(c.j1, c.j2, c.j5)
-        r2 = min(c.j3, c.j4, max(c.j5 - r1, 0.0))
-    else:
-        r2 = min(c.j3, c.j4, c.j5)
-        r1 = min(c.j1, c.j2, max(c.j5 - r2, 0.0))
+    r1, r2 = pentagon_corner(*c.as_tuple(), mu >= 0.5)
     return RatePoint(r1=r1, r2=r2)

@@ -72,6 +72,20 @@ class TestGridRegion:
             checked += 1
         assert checked >= 3
 
+    def test_every_source_is_a_valid_allocation(self):
+        # steps that do not divide p exactly, where the top lattice level
+        # and the relay face's bin power p - pw1 - pw2 round past the budget
+        rng = random.Random(5)
+        restrictions = (SchemeRestriction.COMPOSITE, SchemeRestriction.BLOCK_MARKOV_ONLY,
+                        SchemeRestriction.INDEPENDENT_ONLY, SchemeRestriction.TIME_SHARE)
+        for _ in range(20):
+            g = random_gains(rng)
+            for divisions in (24, 16, 10, 7):
+                for mode in restrictions:
+                    hull = grid_region(g, step=g.p / divisions, restriction=mode)
+                    for alloc in hull.sources:
+                        validate_allocation(alloc, g.p)
+
     def test_deterministic_across_runs(self):
         h1 = grid_region(R3T5_GAINS, step=0.1)
         h2 = grid_region(R3T5_GAINS, step=0.1)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +16,8 @@ from twrc import (
     capacity,
     compute_constraints,
 )
+
+from twrc.rate_region import ALLOCATION_FIELDS, RateKernel, pentagon_corner
 
 from helpers import R3T5_GAINS, random_gains
 
@@ -202,3 +205,36 @@ def test_relay_constraints_never_exceed_sum_constraint(seed):
     cons = compute_constraints(g, alloc(beta1=beta1, beta2=beta2))
     assert cons.j1 <= cons.j5 + 1e-12
     assert cons.j3 <= cons.j5 + 1e-12
+
+
+def random_allocation(rng: random.Random, p: float) -> PowerAllocation:
+    """A feasible allocation with some components at exactly zero."""
+    def part(total):
+        return 0.0 if rng.random() < 0.2 else rng.uniform(0.0, total)
+
+    alpha1, alpha2 = part(p), part(p)
+    q1 = part(p) if alpha1 > 0.0 else 0.0
+    q2 = part(p - q1) if alpha2 > 0.0 else 0.0
+    return PowerAllocation(alpha1=alpha1, beta1=part(p - alpha1), alpha2=alpha2,
+                           beta2=part(p - alpha2), pw1=q1, pw2=q2, beta3=part(p - q1 - q2))
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6))
+def test_kernel_array_path_matches_scalar_path(seed):
+    rng = random.Random(seed)
+    g = random_gains(rng)
+    allocs = [random_allocation(rng, g.p) for _ in range(16)]
+    cols = {name: np.array([getattr(a, name) for a in allocs]) for name in ALLOCATION_FIELDS}
+    bounds = RateKernel(g).bounds(
+        cols["beta1"], cols["beta2"],
+        np.sqrt(cols["pw1"] * cols["alpha1"]), np.sqrt(cols["pw2"] * cols["alpha2"]),
+        cols["pw1"] + cols["beta3"], cols["pw2"] + cols["beta3"])
+    # numpy's log2 and math.log2 may round differently in the last bit
+    close = dict(rel=1e-15, abs=1e-15)
+    for favor1, mu in ((True, 0.75), (False, 0.25)):
+        r1, r2 = pentagon_corner(*bounds, favor1)
+        for i, a in enumerate(allocs):
+            cons = compute_constraints(g, a)
+            assert [j[i] for j in bounds] == pytest.approx(cons.as_tuple(), **close)
+            pt = best_weighted_point(cons, mu)
+            assert [r1[i], r2[i]] == pytest.approx([pt.r1, pt.r2], **close)
