@@ -7,7 +7,8 @@ the five rate bounds at every point with
 convex-hulls the result. Restricted variants (block Markov only,
 independent only, direct only, time sharing) reuse the same machinery so
 containment comparisons are exact: every restricted lattice is a literal
-subset of the composite lattice.
+subset of the composite lattice. :func:`grid_best` skips the points and
+corners that cannot hold a weighted-sum maximum.
 
 Also here because they share the geometry plumbing: the relay-position
 technique map and the required-relay-power profile along a segment.
@@ -91,7 +92,9 @@ class RegionHull:
         return out
 
 
-def _resolve_cap(cap: Optional[int]) -> int:
+def _check_cap(count: int, cap: Optional[int]) -> None:
+    """Raise :class:`GridCapError` when ``count`` evaluations exceed the
+    cap: ``cap`` if given, else ``TWRC_GRID_CAP``, else the default."""
     if cap is not None:
         value = int(cap)
     else:
@@ -99,7 +102,11 @@ def _resolve_cap(cap: Optional[int]) -> int:
         value = int(raw) if raw else DEFAULT_GRID_CAP
     if value <= 0:
         raise ValidationError(f"grid cap must be positive, got {value}")
-    return value
+    if count > value:
+        raise GridCapError(
+            f"grid needs {count} evaluations, over the cap of {value}; "
+            f"raise {GRID_CAP_ENV} or increase step"
+        )
 
 
 def _levels(p: float, step: float) -> np.ndarray:
@@ -126,10 +133,15 @@ def _simplex_pairs(levels: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray
     return g1[mask], g2[mask]
 
 
+def _bounds(g: LinkGains, a1, b1, a2, b2, q1, q2, b3):
+    """``(j1, ..., j5)`` for a batch of allocations (numpy arrays)."""
+    return RateKernel(g).bounds(b1, b2, np.sqrt(q1 * a1), np.sqrt(q2 * a2), q1 + b3, q2 + b3)
+
+
 def _corner_rates(g: LinkGains, a1, b1, a2, b2, q1, q2, b3):
     """Both pentagon corners for a batch of allocations (numpy arrays):
     user 1's ``(r1a, r2a)``, then user 2's ``(r1b, r2b)``."""
-    j = RateKernel(g).bounds(b1, b2, np.sqrt(q1 * a1), np.sqrt(q2 * a2), q1 + b3, q2 + b3)
+    j = _bounds(g, a1, b1, a2, b2, q1, q2, b3)
     return (*pentagon_corner(*j, True), *pentagon_corner(*j, False))
 
 
@@ -285,13 +297,7 @@ def grid_region(g: LinkGains, step: float = 0.05,
     if restriction == SchemeRestriction.DIRECT_ONLY:
         return _direct_hull(g, step)
     levels = _levels(p, step)
-    cap_value = _resolve_cap(cap)
-    count = _count_candidates(restriction, levels, p)
-    if count > cap_value:
-        raise GridCapError(
-            f"grid needs {count} evaluations, over the cap of {cap_value}; "
-            f"raise {GRID_CAP_ENV} or increase step"
-        )
+    _check_cap(_count_candidates(restriction, levels, p), cap)
     acc_r1, acc_r2 = [], []
     acc_coord = [[], [], [], [], []]
     for a1, a2, q1, q2, b3 in _candidate_batches(restriction, levels, p):
@@ -345,8 +351,32 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025,
               cap: Optional[int] = None) -> list[float]:
     """Best weighted sum over the composite lattice, per weight.
 
+    Searches only the relay's full-power face ``beta3 = p - pw1 - pw2``
+    and, per weight, only the corner the weight favors (user 1's when
+    ``mu >= 1/2``, as in :func:`~twrc.rate_region.best_weighted_point`).
+    The rest of the composite lattice cannot raise the maximum:
+
+    - every point with less bin power (the ``beta3 = 0`` face) is
+      dominated by the face point with the same ``(alpha, pw)``, since
+      raising ``beta3`` raises only the user-side bounds ``j2`` and
+      ``j4``; the bin-only line and the mixed time-share planes are
+      points of the face itself;
+    - at the favored corner the weighted sum never falls when any bound
+      rises: if ``r1`` gains d, ``r2`` loses at most d, and ``mu >= 1/2``
+      (symmetrically for user 2);
+    - the favored corner is the pentagon's maximizer.
+
+    A dominated point can still round a few ulps above the point that
+    dominates it, so the result may sit that far below a search of the
+    whole lattice. :func:`grid_region` keeps every candidate, because
+    each restricted lattice must stay a literal subset of the composite
+    one. :func:`local_grid_best` searches a box around a solver point,
+    which need not meet the full-power face, and :func:`audit_grid_best`
+    is the independent unreduced check, so neither is pruned.
+
     Shares the lattice across all weights, so checking several weights
-    costs barely more than one.
+    costs barely more than one. The cap counts the face lattice,
+    ``n * n`` user splits times the relay simplex pairs.
     """
     validate_gains(g)
     step = _validate_step(step, g.p)
@@ -355,22 +385,18 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025,
             raise ValidationError(f"mu must lie in [0, 1], got {mu!r}")
     p = g.p
     levels = _levels(p, step)
-    cap_value = _resolve_cap(cap)
-    count = _count_candidates(SchemeRestriction.COMPOSITE, levels, p)
-    if count > cap_value:
-        raise GridCapError(
-            f"grid needs {count} evaluations, over the cap of {cap_value}; "
-            f"raise {GRID_CAP_ENV} or increase step"
-        )
+    _check_cap(len(levels) ** 2 * _simplex_pair_count(levels, p), cap)
+    q1p, q2p = _simplex_pairs(levels, p)
+    favor1 = [mu >= 0.5 for mu in mus]
     best = [-math.inf] * len(mus)
-    for a1, a2, q1, q2, b3 in _candidate_batches(SchemeRestriction.COMPOSITE, levels, p):
+    for a1, a2, q1, q2, b3 in _face_batches(levels, p, q1p, q2p, zero_bin=False):
         if len(a1) == 0:
             continue
-        r1a, r2a, r1b, r2b = _corner_rates(g, a1, p - a1, a2, p - a2, q1, q2, b3)
+        j = _bounds(g, a1, p - a1, a2, p - a2, q1, q2, b3)
+        corners = {f: pentagon_corner(*j, f) for f in set(favor1)}
         for k, mu in enumerate(mus):
-            wa = float(np.max(mu * r1a + (1.0 - mu) * r2a))
-            wb = float(np.max(mu * r1b + (1.0 - mu) * r2b))
-            best[k] = max(best[k], wa, wb)
+            r1, r2 = corners[favor1[k]]
+            best[k] = max(best[k], float(np.max(mu * r1 + (1.0 - mu) * r2)))
     return best
 
 
@@ -427,12 +453,7 @@ def audit_grid_best(g: LinkGains, mu: float, step: float,
     tri_mask = q1g + q2g + b3g <= p * (1.0 + 1e-12)
     q1t, q2t, b3t = q1g[tri_mask], q2g[tri_mask], b3g[tri_mask]
     m_tri = len(q1t)
-    count = m_pairs * m_pairs * m_tri
-    cap_value = _resolve_cap(cap)
-    if count > cap_value:
-        raise GridCapError(
-            f"audit grid needs {count} evaluations, over the cap of {cap_value}"
-        )
+    _check_cap(m_pairs * m_pairs * m_tri, cap)
     best = -math.inf
     a2 = np.repeat(pa, m_tri)
     b2 = np.repeat(pb, m_tri)

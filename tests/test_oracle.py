@@ -1,8 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from twrc import oracle
 from twrc import (
     Geometry,
     GridCapError,
@@ -187,6 +191,53 @@ class TestGridBest:
     def test_mu_validation(self):
         with pytest.raises(ValidationError, match="mu"):
             grid_best(R3T5_GAINS, (0.5, 1.2), step=0.1)
+
+    def test_grid_cap_counts_the_full_power_face(self):
+        # step p/4: 5 levels per user split, 15 relay simplex pairs
+        count = 5 * 5 * 15
+        with pytest.raises(GridCapError, match=rf"{count} evaluations"):
+            grid_best(R3T5_GAINS, (0.5,), step=0.25, cap=count - 1)
+        assert len(grid_best(R3T5_GAINS, (0.5,), step=0.25, cap=count)) == 1
+
+
+GRID_BEST_MUS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def unpruned_grid_best(g, mus, step):
+    """Best weighted sum over every composite-lattice batch and both
+    pentagon corners, for every weight."""
+    p = g.p
+    levels = oracle._levels(p, step)
+    best = [-math.inf] * len(mus)
+    for a1, a2, q1, q2, b3 in oracle._candidate_batches(SchemeRestriction.COMPOSITE, levels, p):
+        if len(a1) == 0:
+            continue
+        r1a, r2a, r1b, r2b = oracle._corner_rates(g, a1, p - a1, a2, p - a2, q1, q2, b3)
+        for k, mu in enumerate(mus):
+            wa = np.max(mu * r1a + (1.0 - mu) * r2a)
+            wb = np.max(mu * r1b + (1.0 - mu) * r2b)
+            best[k] = max(best[k], float(wa), float(wb))
+    return best
+
+
+amplitude = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e),
+)
+
+
+@given(
+    amps=st.lists(amplitude, min_size=6, max_size=6),
+    log_p=st.floats(min_value=-6.0, max_value=4.0),
+    divisions=st.floats(min_value=6.0, max_value=12.0),
+)
+def test_grid_best_matches_unpruned_lattice(amps, log_p, divisions):
+    p = 10.0 ** log_p
+    g = LinkGains(g12=amps[0], g21=amps[1], g1r=amps[2], gr1=amps[3], g2r=amps[4], gr2=amps[5], p=p)
+    step = p / divisions
+    pruned = grid_best(g, GRID_BEST_MUS, step=step)
+    for mu, got, want in zip(GRID_BEST_MUS, pruned, unpruned_grid_best(g, GRID_BEST_MUS, step)):
+        assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), (mu, got, want)
 
 
 class TestRegimeMap:
