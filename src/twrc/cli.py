@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .channel import GAIN_FIELDS, Geometry, LinkGains, gains_from_geometry
-from .errors import GridCapError, SideConditionError, TwrcError, ValidationError
+from .errors import GridCapError, SideConditionError, TwrcError, ValidationError, WrongRegimeError
 from .oracle import (
     DEFAULT_MAP_BOUNDS,
     DEFAULT_MAP_RESOLUTION,
@@ -30,7 +30,6 @@ from .oracle import (
     relay_power_profile,
 )
 from .optimizer import check_full_power, min_relay_power, solve
-from .errors import WrongRegimeError
 from .regimes import assignment_for_gains, classify
 
 

@@ -26,7 +26,12 @@ separately because it is not optimal on all of its cell.
 Every rate bound, in the objective, the SLSQP constraint and its
 Jacobian, and dual recovery, is evaluated by
 :class:`~twrc.rate_region.RateKernel`, and every pentagon corner by
-:func:`~twrc.rate_region.pentagon_corner`.
+:func:`~twrc.rate_region.pentagon_corner`. The scalar objective that the
+line searches, the polls and the finalize step evaluate about a thousand
+times per solve is the kernel's flat fast path,
+:meth:`~twrc.rate_region.RateKernel.face_objective`, which is
+bit-identical to those two composed (a hypothesis test in
+``tests/test_rate_region.py`` compares them with ``==``).
 
 All rates are log base 2 (bits per channel use).
 """
@@ -165,13 +170,15 @@ class _Objective:
     """Scalar/batch evaluation of the reduced 4-variable program on the
     relay face ``beta3 = p - pw1 - pw2``."""
 
-    __slots__ = ("p", "mu", "favor1", "kernel")
+    __slots__ = ("p", "mu", "favor1", "kernel", "flat")
 
     def __init__(self, g: LinkGains, mu: float):
         self.p = g.p
         self.mu = mu
         self.favor1 = mu >= 0.5
         self.kernel = RateKernel(g)
+        # value of (alpha1, alpha2, pw1, pw2) as four floats, no tuple
+        self.flat = self.kernel.face_objective(g.p, mu, _TIE_BONUS)
 
     def rates(self, x: Sequence[float]) -> tuple[float, float]:
         a1, a2, q1, q2 = x
@@ -183,8 +190,7 @@ class _Objective:
         return pentagon_corner(*j, self.favor1)
 
     def value(self, x: Sequence[float]) -> float:
-        r1, r2 = self.rates(x)
-        return self.mu * r1 + (1.0 - self.mu) * r2 + _TIE_BONUS * (r1 + r2)
+        return self.flat(*x)
 
     def value_batch(self, a1, a2, q1, q2):
         p = self.p
@@ -276,6 +282,7 @@ def _seed(obj: _Objective) -> tuple[tuple[float, float, float, float], float]:
 
 def _refine(obj: _Objective, x, val, max_cycles: int) -> tuple[tuple, float]:
     p = obj.p
+    flat = obj.flat
     scale = max(1.0, p)
     gss_tol = 1e-9 * scale
     for _ in range(max_cycles):
@@ -284,9 +291,11 @@ def _refine(obj: _Objective, x, val, max_cycles: int) -> tuple[tuple, float]:
             tlo, thi = _t_range(x, d, p)
             if thi - tlo <= 1e-15 * scale:
                 continue
+            x0, x1, x2, x3 = x
+            d0, d1, d2, d3 = d
 
-            def fun(t, x=x, d=d):
-                return obj.value((x[0] + t * d[0], x[1] + t * d[1], x[2] + t * d[2], x[3] + t * d[3]))
+            def fun(t):
+                return flat(x0 + t * d0, x1 + t * d1, x2 + t * d2, x3 + t * d3)
 
             t_best, f_best = _golden_section(fun, tlo, thi, gss_tol)
             for t_end in (tlo, thi):
@@ -295,8 +304,8 @@ def _refine(obj: _Objective, x, val, max_cycles: int) -> tuple[tuple, float]:
                     t_best, f_best = t_end, f_end
             if f_best > val:
                 val = f_best
-                x = _clip((x[0] + t_best * d[0], x[1] + t_best * d[1],
-                           x[2] + t_best * d[2], x[3] + t_best * d[3]), p)
+                x = _clip((x0 + t_best * d0, x1 + t_best * d1,
+                           x2 + t_best * d2, x3 + t_best * d3), p)
         if val - before <= 1e-13 * max(1.0, abs(val)):
             break
     return x, val
@@ -331,6 +340,7 @@ def _polish(obj: _Objective, x, val) -> tuple[tuple, float]:
         return p - z[2], p - z[3], z[6], z[7], p - z[5], p - z[4]
 
     def cons(z):
+        z = z.tolist()
         j1, j2, j3, j4, j5 = k.bounds(*inputs(z))
         return np.array([j1 - z[0], j2 - z[0], j3 - z[1], j4 - z[1], j5 - z[0] - z[1],
                          z[4] * z[2] - z[6] * z[6], z[5] * z[3] - z[7] * z[7],
@@ -342,6 +352,7 @@ def _polish(obj: _Objective, x, val) -> tuple[tuple, float]:
     jac_fixed[7, [4, 5]] = -1.0
 
     def cons_jac(z):
+        z = z.tolist()
         d1, d2, d3, d4, d5 = (arg * _LN2 for arg in k.log_args(*inputs(z)))
         jac = jac_fixed.copy()
         jac[0, 2] = -k.relay1 / d1

@@ -249,6 +249,11 @@ def _chain_indices(r1: np.ndarray, r2: np.ndarray) -> list[int]:
     return kept
 
 
+def _check_mu(mu: float) -> None:
+    if not (0.0 <= mu <= 1.0):
+        raise ValidationError(f"mu must lie in [0, 1], got {mu!r}")
+
+
 def _validate_step(step: float, p: float) -> float:
     if not (isinstance(step, (int, float)) and math.isfinite(step) and step > 0.0):
         raise ValidationError(f"step must be a positive finite number, got {step!r}")
@@ -381,8 +386,7 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025,
     validate_gains(g)
     step = _validate_step(step, g.p)
     for mu in mus:
-        if not (0.0 <= mu <= 1.0):
-            raise ValidationError(f"mu must lie in [0, 1], got {mu!r}")
+        _check_mu(mu)
     p = g.p
     levels = _levels(p, step)
     _check_cap(len(levels) ** 2 * _simplex_pair_count(levels, p), cap)
@@ -406,9 +410,15 @@ def local_grid_best(g: LinkGains, mu: float, center: PowerAllocation,
 
     Varies (alpha1, alpha2, pw1, pw2, beta3) within ``radius`` of the
     center, clipped to the feasible set. Used to probe whether a solver
-    point is locally beatable.
+    point is locally beatable. ``radius`` must be finite and nonnegative
+    and ``points_per_axis`` a positive integer.
     """
     validate_gains(g)
+    _check_mu(mu)
+    if not (math.isfinite(radius) and radius >= 0.0):
+        raise ValidationError(f"radius must be finite and nonnegative, got {radius!r}")
+    if not (isinstance(points_per_axis, int) and points_per_axis >= 1):
+        raise ValidationError(f"points_per_axis must be an integer >= 1, got {points_per_axis!r}")
     p = g.p
     if p <= 0.0:
         return 0.0
@@ -444,6 +454,7 @@ def audit_grid_best(g: LinkGains, mu: float, step: float,
     the full-power reductions lose nothing. Keep the step coarse.
     """
     validate_gains(g)
+    _check_mu(mu)
     step = _validate_step(step, g.p)
     p = g.p
     levels = _levels(p, step)
@@ -543,8 +554,7 @@ def regime_map(geom_template: Geometry = Geometry(),
         raise ValidationError(f"x bounds must satisfy xmin < xmax, got {xmin!r}, {xmax!r}")
     if not (math.isfinite(ymin) and math.isfinite(ymax) and ymin < ymax):
         raise ValidationError(f"y bounds must satisfy ymin < ymax, got {ymin!r}, {ymax!r}")
-    if not (0.0 <= mu <= 1.0):
-        raise ValidationError(f"mu must lie in [0, 1], got {mu!r}")
+    _check_mu(mu)
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)
     cells: list[MapCell] = []
@@ -595,8 +605,7 @@ def relay_power_profile(geom_template: Geometry = Geometry(),
     validate_geometry(geom_template)
     if not (isinstance(samples, int) and samples >= 1):
         raise ValidationError(f"samples must be a positive integer, got {samples!r}")
-    if not (0.0 <= mu <= 1.0):
-        raise ValidationError(f"mu must lie in [0, 1], got {mu!r}")
+    _check_mu(mu)
     sx, sy = start if start is not None else geom_template.user1
     ex, ey = end if end is not None else geom_template.user2
     for name, value in (("start", (sx, sy)), ("end", (ex, ey))):

@@ -20,7 +20,11 @@ making it compact.
 
 The bound formulas are written once, in :class:`RateKernel`, and the
 corner rule once, in :func:`pentagon_corner`; both evaluate floats or
-numpy arrays, and the solver and the grid oracle go through them.
+numpy arrays, and the solver and the grid oracle go through them. The
+one exception is :meth:`RateKernel.face_objective`, the solver's scalar
+objective on the relay face, which writes both out flat for speed; it
+runs the same float operations in the same order, and a hypothesis test
+(``tests/test_rate_region.py``) holds it bit-identical to them.
 """
 
 from __future__ import annotations
@@ -196,6 +200,47 @@ class RateKernel:
         x1, x2, x3, x4, x5 = self.log_args(beta1, beta2, s1, s2, f1, f2)
         log2 = np.log2 if isinstance(x1, np.ndarray) else math.log2
         return log2(x1), log2(x2), log2(x3), log2(x4), log2(x5)
+
+    def face_objective(self, p: float, mu: float, tie_bonus: float):
+        """The scalar weighted sum on the relay face, as a function of
+        ``(alpha1, alpha2, pw1, pw2)`` with full user power and
+        ``beta3 = p - pw1 - pw2``.
+
+        It returns ``mu * r1 + (1 - mu) * r2 + tie_bonus * (r1 + r2)`` at
+        the corner ``mu`` favors, and is :meth:`bounds` followed by
+        :func:`pentagon_corner` written out flat for the solver's line
+        searches: every float operation runs in their order, so the value
+        is bit-identical to the layered path, and a point costs no call
+        but ``sqrt``, ``log2`` and ``min``. A negative coupling product
+        (rounding at ``alpha_i = 0``) counts as zero.
+        """
+        relay1, relay2 = self.relay1, self.relay2
+        beam1, beam2 = self.beam1, self.beam2
+        cross1, cross2 = self.cross1, self.cross2
+        base2, base4 = self.base2, self.base4
+        favor1 = mu >= 0.5
+        nu = 1.0 - mu
+        sqrt, log2 = math.sqrt, math.log2
+
+        def value(a1: float, a2: float, q1: float, q2: float) -> float:
+            c1 = q1 * a1
+            c2 = q2 * a2
+            arg1 = relay1 * (p - a1)
+            arg3 = relay2 * (p - a2)
+            j1 = log2(1.0 + arg1)
+            j2 = log2(1.0 + (base2 + cross1 * sqrt(c1 if c1 > 0.0 else 0.0) + beam2 * (p - q2)))
+            j3 = log2(1.0 + arg3)
+            j4 = log2(1.0 + (base4 + cross2 * sqrt(c2 if c2 > 0.0 else 0.0) + beam1 * (p - q1)))
+            j5 = log2(1.0 + arg1 + arg3)
+            if favor1:
+                r1 = min(j1, j2, j5)
+                r2 = min(j3, j4, j5 - r1)
+            else:
+                r2 = min(j3, j4, j5)
+                r1 = min(j1, j2, j5 - r2)
+            return mu * r1 + nu * r2 + tie_bonus * (r1 + r2)
+
+        return value
 
 
 def allocation_inputs(a: PowerAllocation) -> tuple[float, float, float, float, float, float]:

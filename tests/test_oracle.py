@@ -11,6 +11,7 @@ from twrc import (
     Geometry,
     GridCapError,
     LinkGains,
+    PowerAllocation,
     SchemeRestriction,
     TECHNIQUE_TABLE,
     ValidationError,
@@ -348,3 +349,31 @@ class TestRestrictionSemantics:
     def test_restriction_accepts_value_strings(self):
         hull = grid_region(R3T5_GAINS, step=0.25, restriction="direct")
         assert hull.restriction is SchemeRestriction.DIRECT_ONLY
+
+
+class TestLocalAndAuditValidation:
+    center = PowerAllocation(alpha1=0.2, beta1=0.8, alpha2=0.3, beta2=0.7, pw1=0.1, pw2=0.2, beta3=0.7)
+
+    @pytest.mark.parametrize("mu", [-0.1, 1.5, math.nan])
+    def test_local_rejects_mu_outside_unit_interval(self, mu):
+        with pytest.raises(ValidationError, match="mu"):
+            local_grid_best(R3T5_GAINS, mu, self.center, radius=0.02)
+
+    @pytest.mark.parametrize("radius", [-0.5, math.nan, math.inf])
+    def test_local_rejects_bad_radius(self, radius):
+        with pytest.raises(ValidationError, match="radius"):
+            local_grid_best(R3T5_GAINS, 0.75, self.center, radius=radius)
+
+    @pytest.mark.parametrize("points", [0, -3, 2.5])
+    def test_local_rejects_bad_points_per_axis(self, points):
+        with pytest.raises(ValidationError, match="points_per_axis"):
+            local_grid_best(R3T5_GAINS, 0.75, self.center, radius=0.02, points_per_axis=points)
+
+    def test_local_accepts_zero_radius_and_one_point(self):
+        value = local_grid_best(R3T5_GAINS, 0.75, self.center, radius=0.0, points_per_axis=1)
+        assert math.isfinite(value)
+
+    @pytest.mark.parametrize("mu", [-0.1, 1.5, math.nan])
+    def test_audit_rejects_mu_outside_unit_interval(self, mu):
+        with pytest.raises(ValidationError, match="mu"):
+            audit_grid_best(R3T5_GAINS, mu, step=0.25)

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twrc import (
@@ -238,3 +238,33 @@ def test_kernel_array_path_matches_scalar_path(seed):
             assert [j[i] for j in bounds] == pytest.approx(cons.as_tuple(), **close)
             pt = best_weighted_point(cons, mu)
             assert [r1[i], r2[i]] == pytest.approx([pt.r1, pt.r2], **close)
+
+
+# amplitudes 1e-3..1e3 or exactly zero, and fractions that are exactly 0
+# or 1 on some draws; most draws stay generic, where a reordered addition
+# changes the last bit
+face_amplitude = st.floats(min_value=-3.5, max_value=3.0).map(lambda e: 0.0 if e < -3.0 else 10.0 ** e)
+fraction = st.floats(min_value=-0.2, max_value=1.2).map(lambda v: min(max(v, 0.0), 1.0))
+
+
+@settings(max_examples=500)
+@given(
+    amps=st.lists(face_amplitude, min_size=6, max_size=6),
+    log_p=st.floats(min_value=-6.0, max_value=4.0),
+    u=st.lists(fraction, min_size=4, max_size=4),
+    mu=st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+    tie_bonus=st.sampled_from((0.0, 1e-10)),
+)
+def test_face_objective_is_bit_identical_to_kernel_and_corner(amps, log_p, u, mu, tie_bonus):
+    p = 10.0 ** log_p
+    g = LinkGains(g12=amps[0], g21=amps[1], g1r=amps[2], gr1=amps[3], g2r=amps[4], gr2=amps[5], p=p)
+    # a point of the box x relay simplex; zero fractions reach the faces
+    # alpha_i = 0, pw_i = 0 and both, fractions of 1 the far corners
+    a1, a2 = u[0] * p, u[1] * p
+    q1 = u[2] * p
+    q2 = u[3] * (p - q1)
+    kernel = RateKernel(g)
+    j = kernel.bounds(p - a1, p - a2, math.sqrt(q1 * a1), math.sqrt(q2 * a2), p - q2, p - q1)
+    r1, r2 = pentagon_corner(*j, mu >= 0.5)
+    want = mu * r1 + (1.0 - mu) * r2 + tie_bonus * (r1 + r2)
+    assert kernel.face_objective(p, mu, tie_bonus)(a1, a2, q1, q2) == want
