@@ -10,6 +10,16 @@ containment comparisons are exact: every restricted lattice is a literal
 subset of the composite lattice. :func:`grid_best` skips the points and
 corners that cannot hold a weighted-sum maximum.
 
+The relay faces, which hold nearly all of the lattice, are never
+materialized: each bound is evaluated once on the sub-lattice of the
+variables it reads, in one broadcast kernel call, and the pentagon
+corners broadcast back to one ``a1`` level at a time
+(:func:`_face_corners`). The rates are bit-identical to evaluating
+every point; :func:`_candidate_batches` keeps the materialized lattice
+as the reference the tests compare against. The Pareto filter drops the
+points strictly dominated by the batch's max-sum point before its sort,
+which provably keeps the same points.
+
 Also here because they share the geometry plumbing: the relay-position
 technique map and the required-relay-power profile along a segment.
 
@@ -22,7 +32,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -94,14 +104,20 @@ class RegionHull:
 
 def _check_cap(count: int, cap: Optional[int]) -> None:
     """Raise :class:`GridCapError` when ``count`` evaluations exceed the
-    cap: ``cap`` if given, else ``TWRC_GRID_CAP``, else the default."""
+    cap: ``cap`` if given, else ``TWRC_GRID_CAP``, else the default.
+    A cap that is not an integer >= 1 raises :class:`ValidationError`."""
     if cap is not None:
-        value = int(cap)
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+            raise ValidationError(f"grid cap must be an integer >= 1, got {cap!r}")
+        value = cap
     else:
         raw = os.environ.get(GRID_CAP_ENV)
-        value = int(raw) if raw else DEFAULT_GRID_CAP
-    if value <= 0:
-        raise ValidationError(f"grid cap must be positive, got {value}")
+        try:
+            value = int(raw) if raw else DEFAULT_GRID_CAP
+        except ValueError:
+            value = None
+        if value is None or value < 1:
+            raise ValidationError(f"{GRID_CAP_ENV} must be an integer >= 1, got {raw!r}")
     if count > value:
         raise GridCapError(
             f"grid needs {count} evaluations, over the cap of {value}; "
@@ -133,15 +149,10 @@ def _simplex_pairs(levels: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray
     return g1[mask], g2[mask]
 
 
-def _bounds(g: LinkGains, a1, b1, a2, b2, q1, q2, b3):
-    """``(j1, ..., j5)`` for a batch of allocations (numpy arrays)."""
-    return RateKernel(g).bounds(b1, b2, np.sqrt(q1 * a1), np.sqrt(q2 * a2), q1 + b3, q2 + b3)
-
-
 def _corner_rates(g: LinkGains, a1, b1, a2, b2, q1, q2, b3):
     """Both pentagon corners for a batch of allocations (numpy arrays):
     user 1's ``(r1a, r2a)``, then user 2's ``(r1b, r2b)``."""
-    j = _bounds(g, a1, b1, a2, b2, q1, q2, b3)
+    j = RateKernel(g).bounds(b1, b2, np.sqrt(q1 * a1), np.sqrt(q2 * a2), q1 + b3, q2 + b3)
     return (*pentagon_corner(*j, True), *pentagon_corner(*j, False))
 
 
@@ -150,19 +161,53 @@ _Batch = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 def _face_batches(levels: np.ndarray, p: float, q1p: np.ndarray, q2p: np.ndarray,
                   zero_bin: bool) -> Iterator[_Batch]:
-    """Lattice over (a1, a2, relay simplex) with b3 = p - q1 - q2 (clamped
-    at 0, as q1 + q2 may round past p), or b3 = 0 for the
-    block-Markov-only variant."""
+    """Lattice over (a1, a2, relay simplex) with the bin power of
+    :func:`_relay_bin`, one batch per ``a1`` level."""
     n = len(levels)
     m = len(q1p)
     a2 = np.repeat(levels, m)
     q1 = np.tile(q1p, n)
     q2 = np.tile(q2p, n)
-    b3 = np.zeros_like(q1) if zero_bin else np.maximum(p - q1 - q2, 0.0)
+    b3 = np.tile(_relay_bin(p, q1p, q2p, zero_bin), n)
     for a1_val in levels:
         a1 = np.full_like(a2, a1_val)
         valid = ((q1 <= 0.0) | (a1 > 0.0)) & ((q2 <= 0.0) | (a2 > 0.0))
         yield a1[valid], a2[valid], q1[valid], q2[valid], b3[valid]
+
+
+def _face_corners(g: LinkGains, levels: np.ndarray, p: float, q1p: np.ndarray,
+                  q2p: np.ndarray, b3p: np.ndarray,
+                  favors: Iterable[bool]) -> Iterator[tuple[float, np.ndarray, dict]]:
+    """The face lattice of :func:`_face_batches`, with the bin power
+    ``b3p`` per relay pair, one ``a1`` level at a time: ``(a1, valid,
+    corners)``. ``valid`` is the ``(n, m)`` mask of valid points over
+    (``a2`` level, relay pair), whose ravel order is that of the batch,
+    and ``corners[f]`` is :func:`pentagon_corner` favoring user 1 when
+    ``f``, as ``(n, m)`` arrays.
+
+    Each bound is evaluated once on the sub-lattice it depends on
+    (``j1`` on ``a1``, ``j3`` on ``a2``, ``j5`` on both, ``j2`` on
+    ``a1`` and the relay pair, ``j4`` on ``a2`` and the pair), through
+    one broadcast :meth:`~twrc.rate_region.RateKernel.bounds` call, in
+    the operand order of :func:`_corner_rates`, so the rates are
+    bit-identical to the materialized batch. No array exceeds ``n * m``.
+    """
+    a1 = levels[:, None, None]
+    a2 = levels[None, :, None]
+    j1, j2, j3, j4, j5 = RateKernel(g).bounds(
+        p - a1, p - a2, np.sqrt(q1p * a1), np.sqrt(q2p * a2), q1p + b3p, q2p + b3p)
+    valid_pos = (q2p <= 0.0) | (levels[:, None] > 0.0)
+    valid_zero = valid_pos & (q1p <= 0.0)
+    for i, a1_val in enumerate(levels):
+        j = (j1[i], j2[i], j3[0], j4[0], j5[i])
+        corners = {f: pentagon_corner(*j, f) for f in favors}
+        yield a1_val, (valid_pos if a1_val > 0.0 else valid_zero), corners
+
+
+def _relay_bin(p: float, q1p: np.ndarray, q2p: np.ndarray, zero_bin: bool) -> np.ndarray:
+    """Bin power per relay pair: the rest of the budget, clamped at 0 as
+    ``q1 + q2`` may round past ``p``, or 0 on the block-Markov-only face."""
+    return np.zeros_like(q1p) if zero_bin else np.maximum(p - q1p - q2p, 0.0)
 
 
 def _ind_batch(levels: np.ndarray) -> Iterator[_Batch]:
@@ -186,25 +231,38 @@ def _mixed_batch(levels: np.ndarray, p: float, bm_user: int) -> Iterator[_Batch]
         yield zeros, a, zeros.copy(), q, b3
 
 
+def _face_flags(restriction: SchemeRestriction) -> tuple[bool, ...]:
+    """``zero_bin`` of each relay face in the restriction's lattice, in
+    lattice order."""
+    if restriction == SchemeRestriction.COMPOSITE:
+        return (False, True)
+    if restriction == SchemeRestriction.BLOCK_MARKOV_ONLY:
+        return (True,)
+    return ()
+
+
+def _line_batches(restriction: SchemeRestriction, levels: np.ndarray,
+                  p: float) -> Iterator[_Batch]:
+    """The rest of the restriction's lattice after its faces: the
+    bin-only line and the two time-share planes."""
+    if restriction in (SchemeRestriction.COMPOSITE, SchemeRestriction.INDEPENDENT_ONLY):
+        yield from _ind_batch(levels)
+    if restriction in (SchemeRestriction.COMPOSITE, SchemeRestriction.TIME_SHARE):
+        yield from _mixed_batch(levels, p, bm_user=1)
+        yield from _mixed_batch(levels, p, bm_user=2)
+
+
 def _candidate_batches(restriction: SchemeRestriction, levels: np.ndarray,
                        p: float) -> Iterator[_Batch]:
-    if restriction in (SchemeRestriction.COMPOSITE, SchemeRestriction.BLOCK_MARKOV_ONLY):
+    """Every candidate of the restriction's lattice, materialized batch
+    by batch: the reference that :func:`grid_region` and
+    :func:`grid_best` evaluate without materializing the faces."""
+    faces = _face_flags(restriction)
+    if faces:
         q1p, q2p = _simplex_pairs(levels, p)
-    if restriction == SchemeRestriction.COMPOSITE:
-        yield from _face_batches(levels, p, q1p, q2p, zero_bin=False)
-        yield from _face_batches(levels, p, q1p, q2p, zero_bin=True)
-        yield from _ind_batch(levels)
-        yield from _mixed_batch(levels, p, bm_user=1)
-        yield from _mixed_batch(levels, p, bm_user=2)
-    elif restriction == SchemeRestriction.BLOCK_MARKOV_ONLY:
-        yield from _face_batches(levels, p, q1p, q2p, zero_bin=True)
-    elif restriction == SchemeRestriction.INDEPENDENT_ONLY:
-        yield from _ind_batch(levels)
-    elif restriction == SchemeRestriction.TIME_SHARE:
-        yield from _mixed_batch(levels, p, bm_user=1)
-        yield from _mixed_batch(levels, p, bm_user=2)
-    else:  # pragma: no cover - direct handled analytically
-        raise ValidationError(f"no lattice for restriction {restriction!r}")
+    for zero_bin in faces:
+        yield from _face_batches(levels, p, q1p, q2p, zero_bin)
+    yield from _line_batches(restriction, levels, p)
 
 
 def _count_candidates(restriction: SchemeRestriction, levels: np.ndarray, p: float) -> int:
@@ -223,13 +281,25 @@ def _count_candidates(restriction: SchemeRestriction, levels: np.ndarray, p: flo
 
 
 def _pareto_mask(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    order = np.lexsort((-r2, -r1))
+    """Points whose r2 beats every point before them in the order r1
+    descending, then r2 descending, then index.
+
+    Points strictly dominated by the max-``r1 + r2`` anchor are dropped
+    before the sort: the anchor precedes each of them, and precedes
+    every point they precede with no more r2, so dropping them changes
+    no other point's fate. Exact copies of the anchor stay, since they
+    are not dominated strictly.
+    """
+    anchor = np.argmax(r1 + r2)
+    x, y = r1[anchor], r2[anchor]
+    live = np.flatnonzero((r1 > x) | (r2 > y) | ((r1 == x) & (r2 == y)))
+    order = live[np.lexsort((-r2[live], -r1[live]))]
     r2o = r2[order]
     cummax = np.maximum.accumulate(r2o)
     keep = np.empty(len(order), dtype=bool)
     keep[0] = True
     keep[1:] = r2o[1:] > cummax[:-1]
-    mask = np.zeros(len(order), dtype=bool)
+    mask = np.zeros(len(r1), dtype=bool)
     mask[order[keep]] = True
     return mask
 
@@ -250,7 +320,7 @@ def _chain_indices(r1: np.ndarray, r2: np.ndarray) -> list[int]:
 
 
 def _check_mu(mu: float) -> None:
-    if not (0.0 <= mu <= 1.0):
+    if not (isinstance(mu, (int, float)) and math.isfinite(mu) and 0.0 <= mu <= 1.0):
         raise ValidationError(f"mu must lie in [0, 1], got {mu!r}")
 
 
@@ -303,23 +373,32 @@ def grid_region(g: LinkGains, step: float = 0.05,
         return _direct_hull(g, step)
     levels = _levels(p, step)
     _check_cap(_count_candidates(restriction, levels, p), cap)
-    acc_r1, acc_r2 = [], []
-    acc_coord = [[], [], [], [], []]
-    for a1, a2, q1, q2, b3 in _candidate_batches(restriction, levels, p):
-        if len(a1) == 0:
-            continue
+    kept: list[tuple[np.ndarray, ...]] = []
+
+    def pareto(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A batch's Pareto points (user 1's corners, then user 2's) and
+        the candidate each one comes from."""
+        k = np.flatnonzero(_pareto_mask(r1, r2))
+        return r1[k], r2[k], k % (len(r1) // 2)
+
+    faces = _face_flags(restriction)
+    if faces:
+        q1p, q2p = _simplex_pairs(levels, p)
+    for zero_bin in faces:
+        b3p = _relay_bin(p, q1p, q2p, zero_bin)
+        for a1_val, valid, corners in _face_corners(g, levels, p, q1p, q2p, b3p, (True, False)):
+            (r1a, r2a), (r1b, r2b) = corners[True], corners[False]
+            r1, r2, i = pareto(np.concatenate([r1a[valid], r1b[valid]]),
+                               np.concatenate([r2a[valid], r2b[valid]]))
+            a2_idx, pair = np.divmod(np.flatnonzero(valid)[i], len(q1p))
+            kept.append((r1, r2, np.full(len(i), a1_val), levels[a2_idx],
+                         q1p[pair], q2p[pair], b3p[pair]))
+    for batch in _line_batches(restriction, levels, p):
+        a1, a2, q1, q2, b3 = batch
         r1a, r2a, r1b, r2b = _corner_rates(g, a1, p - a1, a2, p - a2, q1, q2, b3)
-        r1 = np.concatenate([r1a, r1b])
-        r2 = np.concatenate([r2a, r2b])
-        coords = [np.concatenate([c, c]) for c in (a1, a2, q1, q2, b3)]
-        keep = _pareto_mask(r1, r2)
-        acc_r1.append(r1[keep])
-        acc_r2.append(r2[keep])
-        for store, arr in zip(acc_coord, coords):
-            store.append(arr[keep])
-    r1 = np.concatenate(acc_r1)
-    r2 = np.concatenate(acc_r2)
-    coords = [np.concatenate(c) for c in acc_coord]
+        r1, r2, i = pareto(np.concatenate([r1a, r1b]), np.concatenate([r2a, r2b]))
+        kept.append((r1, r2, *(c[i] for c in batch)))
+    r1, r2, *coords = (np.concatenate(col) for col in zip(*kept))
     keep = _pareto_mask(r1, r2)
     r1, r2 = r1[keep], r2[keep]
     coords = [c[keep] for c in coords]
@@ -379,9 +458,10 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025,
     which need not meet the full-power face, and :func:`audit_grid_best`
     is the independent unreduced check, so neither is pruned.
 
-    Shares the lattice across all weights, so checking several weights
-    costs barely more than one. The cap counts the face lattice,
-    ``n * n`` user splits times the relay simplex pairs.
+    Evaluates the face as in :func:`_face_corners` and shares it across
+    all weights, so checking several weights costs barely more than one.
+    The cap counts the face lattice, ``n * n`` user splits times the
+    relay simplex pairs.
     """
     validate_gains(g)
     step = _validate_step(step, g.p)
@@ -391,15 +471,13 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025,
     levels = _levels(p, step)
     _check_cap(len(levels) ** 2 * _simplex_pair_count(levels, p), cap)
     q1p, q2p = _simplex_pairs(levels, p)
+    b3p = _relay_bin(p, q1p, q2p, zero_bin=False)
     favor1 = [mu >= 0.5 for mu in mus]
     best = [-math.inf] * len(mus)
-    for a1, a2, q1, q2, b3 in _face_batches(levels, p, q1p, q2p, zero_bin=False):
-        if len(a1) == 0:
-            continue
-        j = _bounds(g, a1, p - a1, a2, p - a2, q1, q2, b3)
-        corners = {f: pentagon_corner(*j, f) for f in set(favor1)}
+    for _, valid, corners in _face_corners(g, levels, p, q1p, q2p, b3p, set(favor1)):
+        rates = {f: (r1[valid], r2[valid]) for f, (r1, r2) in corners.items()}
         for k, mu in enumerate(mus):
-            r1, r2 = corners[favor1[k]]
+            r1, r2 = rates[favor1[k]]
             best[k] = max(best[k], float(np.max(mu * r1 + (1.0 - mu) * r2)))
     return best
 
@@ -490,12 +568,16 @@ def audit_grid_best(g: LinkGains, mu: float, step: float,
 _HULL_FP_GUARD = 1e-12
 
 
+def _check_tolerance(name: str, value: float) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0.0):
+        raise ValidationError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 def hull_contains(outer: RegionHull, inner: RegionHull, slack: float = 0.0) -> bool:
     """True when every inner vertex lies in the outer region grown by
     ``slack``. Both hulls must come from the same gains to be
     comparable."""
-    if slack < 0.0:
-        raise ValidationError(f"slack must be nonnegative, got {slack!r}")
+    _check_tolerance("slack", slack)
     xmax = outer.r1_max
     for v in inner.vertices:
         if v.r1 > xmax + slack + _HULL_FP_GUARD:
@@ -509,6 +591,7 @@ def hull_contains(outer: RegionHull, inner: RegionHull, slack: float = 0.0) -> b
 def hull_exceeds(outer: RegionHull, inner: RegionHull, margin: float) -> bool:
     """True when some outer vertex beats the inner boundary by at least
     ``margin`` bits in the r2 direction (0 beyond the inner r1 range)."""
+    _check_tolerance("margin", margin)
     for v in outer.vertices:
         bound = float(inner.envelope([v.r1])[0])
         if v.r2 >= bound + margin:

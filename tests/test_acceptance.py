@@ -166,7 +166,7 @@ def test_criterion_5_restricted_hull_containment(acceptance_record):
         f"composite contains all restrictions: {contain_ok}; exceeds each by "
         f">=1e-3 bits: {exceed_ok}; direct-only corner at "
         f"({corner.r1:.6f}, {corner.r2:.6f}) vs log2(1.0625): {corner_ok}; "
-        f"{elapsed:.1f} s"
+        f"under 180 s: {elapsed < 180.0}"
     )
     assert acceptance_record("5 restricted hulls nest inside composite", ok, detail)
 
@@ -233,7 +233,7 @@ def test_criterion_7_technique_map_reproduction(acceptance_record):
     elapsed = time.perf_counter() - t0
     ok = elapsed < 30.0 and corner_ok and mid_ok and regime_ok
     detail = (
-        f"50x50 map plus 25 verification cells in {elapsed:.1f} s (< 30 s); "
+        f"50x50 map plus 25 verification cells under 30 s: {elapsed < 30.0}; "
         f"midpoint relay Ind/Ind: {mid_ok}; far corners DT/DT: {corner_ok}; "
         f"sampled regimes re-derive exactly: {regime_ok}; solver labels agree "
         f"on {label_hits}/25 sampled cells (informational)"

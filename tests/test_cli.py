@@ -197,6 +197,13 @@ class TestRegion:
         assert "grid needs 204645 evaluations" in proc.stderr
         assert "TWRC_GRID_CAP" in proc.stderr
 
+    def test_malformed_grid_cap_env_is_invalid_input(self):
+        proc = run_cli("region", *gain_flags(R3T5_GAINS),
+                       env_extra={"TWRC_GRID_CAP": "1e9"})
+        assert proc.returncode == 2
+        assert "TWRC_GRID_CAP" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_deterministic_output(self):
         args = ("region", *gain_flags(R3T5_GAINS), "--step", "0.2")
         first = run_cli(*args)

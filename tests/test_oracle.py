@@ -12,6 +12,7 @@ from twrc import (
     GridCapError,
     LinkGains,
     PowerAllocation,
+    RatePoint,
     SchemeRestriction,
     TECHNIQUE_TABLE,
     ValidationError,
@@ -122,6 +123,17 @@ class TestGridRegion:
         with pytest.raises(GridCapError, match=r"\d+ evaluations"):
             grid_region(R3T5_GAINS, step=0.05, cap=10)
 
+    @pytest.mark.parametrize("cap", [10.5, True, math.nan, 0, -3, "100"])
+    def test_malformed_cap_argument_rejected(self, cap):
+        with pytest.raises(ValidationError, match="grid cap"):
+            grid_region(R3T5_GAINS, step=0.25, cap=cap)
+
+    @pytest.mark.parametrize("raw", ["abc", "1e9", "10.5", "0", "-3"])
+    def test_malformed_cap_environment_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("TWRC_GRID_CAP", raw)
+        with pytest.raises(ValidationError, match="TWRC_GRID_CAP"):
+            grid_region(R3T5_GAINS, step=0.25)
+
 
 class TestContainment:
     def test_reflexive(self, showcase_hulls):
@@ -160,6 +172,20 @@ class TestContainment:
         with pytest.raises(ValidationError, match="slack"):
             hull_contains(comp, comp, slack=-0.1)
 
+    @pytest.mark.parametrize("slack", [math.nan, math.inf])
+    def test_nonfinite_slack_rejected(self, showcase_hulls, slack):
+        comp = showcase_hulls[SchemeRestriction.COMPOSITE]
+        ind = showcase_hulls[SchemeRestriction.INDEPENDENT_ONLY]
+        with pytest.raises(ValidationError, match="slack"):
+            hull_contains(ind, comp, slack=slack)
+
+    @pytest.mark.parametrize("margin", [math.nan, -1.0, math.inf])
+    def test_bad_margin_rejected(self, showcase_hulls, margin):
+        comp = showcase_hulls[SchemeRestriction.COMPOSITE]
+        ind = showcase_hulls[SchemeRestriction.INDEPENDENT_ONLY]
+        with pytest.raises(ValidationError, match="margin"):
+            hull_exceeds(comp, ind, margin=margin)
+
 
 class TestGridBest:
     def test_matches_solver_within_resolution(self):
@@ -192,6 +218,11 @@ class TestGridBest:
     def test_mu_validation(self):
         with pytest.raises(ValidationError, match="mu"):
             grid_best(R3T5_GAINS, (0.5, 1.2), step=0.1)
+
+    @pytest.mark.parametrize("mu", ["0.5", None, math.nan])
+    def test_mu_must_be_a_number(self, mu):
+        with pytest.raises(ValidationError, match="mu"):
+            grid_best(R3T5_GAINS, [mu], step=0.25)
 
     def test_grid_cap_counts_the_full_power_face(self):
         # step p/4: 5 levels per user split, 15 relay simplex pairs
@@ -240,6 +271,82 @@ def test_grid_best_matches_unpruned_lattice(amps, log_p, divisions):
     for mu, got, want in zip(GRID_BEST_MUS, pruned, unpruned_grid_best(g, GRID_BEST_MUS, step)):
         assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), (mu, got, want)
 
+
+
+def plain_pareto_mask(r1, r2):
+    """Points whose r2 beats every point before them in the order r1
+    descending, then r2 descending, then index: one full lexsort."""
+    order = np.lexsort((-r2, -r1))
+    r2o = r2[order]
+    keep = np.empty(len(order), dtype=bool)
+    keep[0] = True
+    keep[1:] = r2o[1:] > np.maximum.accumulate(r2o)[:-1]
+    mask = np.zeros(len(order), dtype=bool)
+    mask[order[keep]] = True
+    return mask
+
+
+def reference_region(g, step, restriction):
+    """``(vertices, sources)`` of the hull over the materialized lattice:
+    every candidate batch of ``_candidate_batches``, both corners from
+    ``_corner_rates``, one plain lexsort filter over all of them."""
+    p = g.p
+    levels = oracle._levels(p, step)
+    rates, coords = [], []
+    for batch in oracle._candidate_batches(restriction, levels, p):
+        a1, a2, q1, q2, b3 = batch
+        r1a, r2a, r1b, r2b = oracle._corner_rates(g, a1, p - a1, a2, p - a2, q1, q2, b3)
+        rates.append((np.concatenate([r1a, r1b]), np.concatenate([r2a, r2b])))
+        coords.append(tuple(np.concatenate([c, c]) for c in batch))
+    r1, r2 = (np.concatenate(col) for col in zip(*rates))
+    coords = [np.concatenate(col) for col in zip(*coords)]
+    keep = plain_pareto_mask(r1, r2)
+    order = np.argsort(r1[keep], kind="stable")
+    r1, r2 = r1[keep][order], r2[keep][order]
+    a1, a2, q1, q2, b3 = (c[keep][order] for c in coords)
+    chain = oracle._chain_indices(r1, r2)
+    vertices = [RatePoint(r1=float(r1[i]), r2=float(r2[i])) for i in chain]
+    sources = [
+        PowerAllocation(alpha1=float(a1[i]), beta1=float(p - a1[i]), alpha2=float(a2[i]),
+                        beta2=float(p - a2[i]), pw1=float(q1[i]), pw2=float(q2[i]),
+                        beta3=float(b3[i]))
+        for i in chain
+    ]
+    if vertices[0].r1 > 0.0:
+        vertices.insert(0, RatePoint(r1=0.0, r2=vertices[0].r2))
+        sources.insert(0, sources[0])
+    if vertices[-1].r2 > 0.0:
+        vertices.append(RatePoint(r1=vertices[-1].r1, r2=0.0))
+        sources.append(sources[-1])
+    return tuple(vertices), tuple(sources)
+
+
+# direct-only is the analytic rectangle; every other restriction has a lattice
+LATTICE_RESTRICTIONS = [r for r in SchemeRestriction if r != SchemeRestriction.DIRECT_ONLY]
+
+
+@given(
+    amps=st.lists(amplitude, min_size=6, max_size=6),
+    log_p=st.floats(min_value=-6.0, max_value=4.0),
+    divisions=st.floats(min_value=6.0, max_value=12.0),
+    restriction=st.sampled_from(LATTICE_RESTRICTIONS),
+)
+def test_grid_region_matches_materialized_lattice(amps, log_p, divisions, restriction):
+    p = 10.0 ** log_p
+    g = LinkGains(g12=amps[0], g21=amps[1], g1r=amps[2], gr1=amps[3], g2r=amps[4], gr2=amps[5], p=p)
+    step = p / divisions
+    hull = grid_region(g, step=step, restriction=restriction)
+    vertices, sources = reference_region(g, step, restriction)
+    assert hull.vertices == vertices
+    assert hull.sources == sources
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                          st.sampled_from([0.0, 0.25, 0.5, 1.0])), min_size=1, max_size=40))
+def test_pareto_mask_matches_plain_lexsort_filter(points):
+    r1 = np.array([x for x, _ in points])
+    r2 = np.array([y for _, y in points])
+    assert np.array_equal(oracle._pareto_mask(r1, r2), plain_pareto_mask(r1, r2))
 
 class TestRegimeMap:
     def test_minimal_grid_emits_four_corner_cells(self):
