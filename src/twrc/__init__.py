@@ -24,8 +24,6 @@ from .errors import (
 )
 from .oracle import (
     DEFAULT_GRID_CAP,
-    MapCell,
-    ProfilePoint,
     RegionHull,
     SchemeRestriction,
     audit_grid_best,
@@ -34,8 +32,6 @@ from .oracle import (
     hull_contains,
     hull_exceeds,
     local_grid_best,
-    regime_map,
-    relay_power_profile,
 )
 from .optimizer import (
     ACTIVITY_THRESHOLD,
@@ -66,6 +62,7 @@ from .regimes import (
     classify,
     technique_lookup,
 )
+from .sweeps import MapCell, ProfilePoint, regime_map, relay_power_profile
 
 __version__ = "0.1.0"
 

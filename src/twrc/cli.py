@@ -20,17 +20,17 @@ from pathlib import Path
 from typing import Optional
 
 from .channel import GAIN_FIELDS, Geometry, LinkGains, gains_from_geometry
-from .errors import GridCapError, SideConditionError, TwrcError, ValidationError, WrongRegimeError
-from .oracle import (
+from .errors import GridCapError, TwrcError, ValidationError, WrongRegimeError
+from .optimizer import check_full_power, min_relay_power, solve
+from .oracle import SchemeRestriction, grid_region
+from .regimes import classify
+from .sweeps import (
     DEFAULT_MAP_BOUNDS,
     DEFAULT_MAP_RESOLUTION,
-    SchemeRestriction,
-    grid_region,
     regime_map,
     relay_power_profile,
+    technique_labels,
 )
-from .optimizer import check_full_power, min_relay_power, solve
-from .regimes import assignment_for_gains, classify
 
 
 def _fmt(value: float) -> str:
@@ -119,18 +119,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
     g = _resolve_gains(args)
     mu = _check_mu(args.mu)
     reg = classify(g)
-    payload: dict = {"regime": reg.to_dict(), "mu": mu}
-    try:
-        decision = assignment_for_gains(g, mu)
-        payload["assignment"] = decision.assignment.to_dict()
-        payload["source"] = "table"
-        if decision.ambiguous and decision.alternate is not None:
-            payload["ambiguous"] = True
-            payload["alternate_assignment"] = decision.alternate.to_dict()
-    except SideConditionError:
-        res = solve(g, mu)
-        payload["assignment"] = res.assignment.to_dict()
-        payload["source"] = "solver"
+    decision, source = technique_labels(g, reg, mu)
+    payload: dict = {"regime": reg.to_dict(), "mu": mu,
+                     "assignment": decision.assignment.to_dict(), "source": source}
+    if decision.ambiguous:
+        payload["ambiguous"] = True
+        payload["alternate_assignment"] = decision.alternate.to_dict()
     sys.stdout.write(_json_text(payload))
     return 0
 

@@ -57,6 +57,7 @@ from .rate_region import (
     best_weighted_point,
     compute_constraints,
     pentagon_corner,
+    validate_mu,
 )
 from .regimes import SchemeAssignment, Technique, classify
 
@@ -158,12 +159,6 @@ class SolveResult:
             "alternate_rates": None if self.alternate_rates is None else self.alternate_rates.to_dict(),
             "ambiguous": self.ambiguous,
         }
-
-
-def _validate_mu(mu: float) -> float:
-    if not (isinstance(mu, (int, float)) and math.isfinite(mu) and 0.0 <= mu <= 1.0):
-        raise ValidationError(f"mu must lie in [0, 1], got {mu!r}")
-    return float(mu)
 
 
 class _Objective:
@@ -691,7 +686,7 @@ def solve(g: LinkGains, mu: float, method: str = "auto") -> SolveResult:
     ``ambiguous=True`` when it differs.
     """
     validate_gains(g)
-    mu = _validate_mu(mu)
+    mu = validate_mu(mu)
     if method not in ("auto", "numeric"):
         raise ValidationError(f"method must be 'auto' or 'numeric', got {method!r}")
     if g.p == 0.0:
@@ -720,7 +715,7 @@ def solve_r2t5(g: LinkGains, mu: float) -> SolveResult:
     ``gr1**2`` falls outside ``[g21**2, g21**2 + g2r**2]``.
     """
     validate_gains(g)
-    mu = _validate_mu(mu)
+    mu = validate_mu(mu)
     if not 0.5 < mu <= 1.0:
         raise ValidationError(f"this closed form requires mu in (1/2, 1], got {mu!r}")
     p = g.p
@@ -822,7 +817,7 @@ def check_full_power(g: LinkGains, res: SolveResult) -> bool:
 
 def boundary_trace(g: LinkGains, mu_samples: Iterable[float]) -> list[RatePoint]:
     """Rate points tracing the region boundary for ascending weights."""
-    samples = [_validate_mu(m) for m in mu_samples]
+    samples = [validate_mu(m) for m in mu_samples]
     if any(b < a for a, b in zip(samples, samples[1:])):
         raise ValidationError("mu_samples must be sorted ascending")
     return [solve(g, m).rates for m in samples]

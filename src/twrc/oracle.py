@@ -1,4 +1,4 @@
-"""Brute-force grid search over power allocations, plus map/profile tools.
+"""Brute-force grid search over power allocations.
 
 This module is the ground truth the analytic solver is validated against:
 it enumerates reparameterized power allocations on a lattice, evaluates
@@ -20,8 +20,8 @@ as the reference the tests compare against. The Pareto filter drops the
 points strictly dominated by the batch's max-sum point before its sort,
 which provably keeps the same points.
 
-Also here because they share the geometry plumbing: the relay-position
-technique map and the required-relay-power profile along a segment.
+The oracle shares only the rate formulas with the solver and never
+calls it; the sweeps that do call it live in :mod:`twrc.sweeps`.
 
 All rates are log base 2 (bits per channel use).
 """
@@ -32,15 +32,13 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .channel import Geometry, LinkGains, gains_from_geometry, validate_gains, validate_geometry
-from .errors import CoincidentNodesError, GridCapError, SideConditionError, ValidationError, WrongRegimeError
-from .optimizer import ACTIVITY_THRESHOLD, SolveResult, min_relay_power, solve
-from .rate_region import PowerAllocation, RateKernel, RatePoint, capacity, pentagon_corner
-from .regimes import Regime, SchemeAssignment, classify, technique_lookup
+from .channel import LinkGains, validate_gains
+from .errors import GridCapError, ValidationError
+from .rate_region import PowerAllocation, RateKernel, RatePoint, capacity, pentagon_corner, validate_mu
 
 DEFAULT_GRID_CAP = 10 ** 8
 GRID_CAP_ENV = "TWRC_GRID_CAP"
@@ -102,22 +100,17 @@ class RegionHull:
         return out
 
 
-def _check_cap(count: int, cap: Optional[int]) -> None:
+def _check_cap(count: int) -> None:
     """Raise :class:`GridCapError` when ``count`` evaluations exceed the
-    cap: ``cap`` if given, else ``TWRC_GRID_CAP``, else the default.
-    A cap that is not an integer >= 1 raises :class:`ValidationError`."""
-    if cap is not None:
-        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-            raise ValidationError(f"grid cap must be an integer >= 1, got {cap!r}")
-        value = cap
-    else:
-        raw = os.environ.get(GRID_CAP_ENV)
-        try:
-            value = int(raw) if raw else DEFAULT_GRID_CAP
-        except ValueError:
-            value = None
-        if value is None or value < 1:
-            raise ValidationError(f"{GRID_CAP_ENV} must be an integer >= 1, got {raw!r}")
+    cap: ``TWRC_GRID_CAP`` if set, else the default. A cap that is not an
+    integer >= 1 raises :class:`ValidationError`."""
+    raw = os.environ.get(GRID_CAP_ENV)
+    try:
+        value = int(raw) if raw else DEFAULT_GRID_CAP
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise ValidationError(f"{GRID_CAP_ENV} must be an integer >= 1, got {raw!r}")
     if count > value:
         raise GridCapError(
             f"grid needs {count} evaluations, over the cap of {value}; "
@@ -210,11 +203,6 @@ def _relay_bin(p: float, q1p: np.ndarray, q2p: np.ndarray, zero_bin: bool) -> np
     return np.zeros_like(q1p) if zero_bin else np.maximum(p - q1p - q2p, 0.0)
 
 
-def _ind_batch(levels: np.ndarray) -> Iterator[_Batch]:
-    zeros = np.zeros_like(levels)
-    yield zeros, zeros, zeros.copy(), zeros.copy(), levels.copy()
-
-
 def _mixed_batch(levels: np.ndarray, p: float, bm_user: int) -> Iterator[_Batch]:
     """One user runs block Markov only (fresh power + coherent relay
     power), the other independent only (bin power takes the rest)."""
@@ -231,25 +219,37 @@ def _mixed_batch(levels: np.ndarray, p: float, bm_user: int) -> Iterator[_Batch]
         yield zeros, a, zeros.copy(), q, b3
 
 
-def _face_flags(restriction: SchemeRestriction) -> tuple[bool, ...]:
-    """``zero_bin`` of each relay face in the restriction's lattice, in
-    lattice order."""
-    if restriction == SchemeRestriction.COMPOSITE:
-        return (False, True)
-    if restriction == SchemeRestriction.BLOCK_MARKOV_ONLY:
-        return (True,)
-    return ()
+class _Lattice(NamedTuple):
+    """A restriction's lattice, in lattice order: the relay faces (the
+    ``zero_bin`` flag of each), then the bin-only line, then the two
+    time-share planes."""
+
+    faces: tuple[bool, ...]
+    bin_line: bool
+    time_share: bool
+
+    def count(self, levels: np.ndarray, p: float) -> int:
+        n = len(levels)
+        pairs = _simplex_pair_count(levels, p) if self.faces else 0
+        return len(self.faces) * n * n * pairs + self.bin_line * n + self.time_share * 2 * n * n
+
+    def line_batches(self, levels: np.ndarray, p: float) -> Iterator[_Batch]:
+        """The lattice after its faces."""
+        if self.bin_line:
+            zeros = np.zeros_like(levels)
+            yield zeros, zeros, zeros.copy(), zeros.copy(), levels.copy()
+        if self.time_share:
+            yield from _mixed_batch(levels, p, bm_user=1)
+            yield from _mixed_batch(levels, p, bm_user=2)
 
 
-def _line_batches(restriction: SchemeRestriction, levels: np.ndarray,
-                  p: float) -> Iterator[_Batch]:
-    """The rest of the restriction's lattice after its faces: the
-    bin-only line and the two time-share planes."""
-    if restriction in (SchemeRestriction.COMPOSITE, SchemeRestriction.INDEPENDENT_ONLY):
-        yield from _ind_batch(levels)
-    if restriction in (SchemeRestriction.COMPOSITE, SchemeRestriction.TIME_SHARE):
-        yield from _mixed_batch(levels, p, bm_user=1)
-        yield from _mixed_batch(levels, p, bm_user=2)
+# direct-only has no lattice: its hull is the analytic rectangle
+_LATTICES = {
+    SchemeRestriction.COMPOSITE: _Lattice(faces=(False, True), bin_line=True, time_share=True),
+    SchemeRestriction.BLOCK_MARKOV_ONLY: _Lattice(faces=(True,), bin_line=False, time_share=False),
+    SchemeRestriction.INDEPENDENT_ONLY: _Lattice(faces=(), bin_line=True, time_share=False),
+    SchemeRestriction.TIME_SHARE: _Lattice(faces=(), bin_line=False, time_share=True),
+}
 
 
 def _candidate_batches(restriction: SchemeRestriction, levels: np.ndarray,
@@ -257,27 +257,12 @@ def _candidate_batches(restriction: SchemeRestriction, levels: np.ndarray,
     """Every candidate of the restriction's lattice, materialized batch
     by batch: the reference that :func:`grid_region` and
     :func:`grid_best` evaluate without materializing the faces."""
-    faces = _face_flags(restriction)
-    if faces:
+    lattice = _LATTICES[restriction]
+    if lattice.faces:
         q1p, q2p = _simplex_pairs(levels, p)
-    for zero_bin in faces:
+    for zero_bin in lattice.faces:
         yield from _face_batches(levels, p, q1p, q2p, zero_bin)
-    yield from _line_batches(restriction, levels, p)
-
-
-def _count_candidates(restriction: SchemeRestriction, levels: np.ndarray, p: float) -> int:
-    n = len(levels)
-    if restriction in (SchemeRestriction.COMPOSITE, SchemeRestriction.BLOCK_MARKOV_ONLY):
-        pairs = _simplex_pair_count(levels, p)
-    if restriction == SchemeRestriction.COMPOSITE:
-        return 2 * n * n * pairs + n + 2 * n * n
-    if restriction == SchemeRestriction.BLOCK_MARKOV_ONLY:
-        return n * n * pairs
-    if restriction == SchemeRestriction.INDEPENDENT_ONLY:
-        return n
-    if restriction == SchemeRestriction.TIME_SHARE:
-        return 2 * n * n
-    return 0
+    yield from lattice.line_batches(levels, p)
 
 
 def _pareto_mask(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -319,11 +304,6 @@ def _chain_indices(r1: np.ndarray, r2: np.ndarray) -> list[int]:
     return kept
 
 
-def _check_mu(mu: float) -> None:
-    if not (isinstance(mu, (int, float)) and math.isfinite(mu) and 0.0 <= mu <= 1.0):
-        raise ValidationError(f"mu must lie in [0, 1], got {mu!r}")
-
-
 def _validate_step(step: float, p: float) -> float:
     if not (isinstance(step, (int, float)) and math.isfinite(step) and step > 0.0):
         raise ValidationError(f"step must be a positive finite number, got {step!r}")
@@ -351,8 +331,7 @@ def _direct_hull(g: LinkGains, step: float) -> RegionHull:
 
 
 def grid_region(g: LinkGains, step: float = 0.05,
-                restriction: SchemeRestriction = SchemeRestriction.COMPOSITE,
-                cap: Optional[int] = None) -> RegionHull:
+                restriction: SchemeRestriction = SchemeRestriction.COMPOSITE) -> RegionHull:
     """Achievable-rate hull by exhaustive lattice search.
 
     Enumerates allocations on a lattice of spacing ``step`` (users at
@@ -361,9 +340,9 @@ def grid_region(g: LinkGains, step: float = 0.05,
     concave envelope padded with the axis points (0, r2_max) and
     (r1_max, 0).
 
-    Raises :class:`GridCapError` when the lattice would exceed ``cap``
-    evaluations (default ``DEFAULT_GRID_CAP``, overridable via the
-    ``TWRC_GRID_CAP`` environment variable).
+    Raises :class:`GridCapError` when the lattice would exceed
+    ``DEFAULT_GRID_CAP`` evaluations, or the ``TWRC_GRID_CAP``
+    environment variable when set.
     """
     validate_gains(g)
     restriction = SchemeRestriction(restriction)
@@ -372,7 +351,8 @@ def grid_region(g: LinkGains, step: float = 0.05,
     if restriction == SchemeRestriction.DIRECT_ONLY:
         return _direct_hull(g, step)
     levels = _levels(p, step)
-    _check_cap(_count_candidates(restriction, levels, p), cap)
+    lattice = _LATTICES[restriction]
+    _check_cap(lattice.count(levels, p))
     kept: list[tuple[np.ndarray, ...]] = []
 
     def pareto(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -381,10 +361,9 @@ def grid_region(g: LinkGains, step: float = 0.05,
         k = np.flatnonzero(_pareto_mask(r1, r2))
         return r1[k], r2[k], k % (len(r1) // 2)
 
-    faces = _face_flags(restriction)
-    if faces:
+    if lattice.faces:
         q1p, q2p = _simplex_pairs(levels, p)
-    for zero_bin in faces:
+    for zero_bin in lattice.faces:
         b3p = _relay_bin(p, q1p, q2p, zero_bin)
         for a1_val, valid, corners in _face_corners(g, levels, p, q1p, q2p, b3p, (True, False)):
             (r1a, r2a), (r1b, r2b) = corners[True], corners[False]
@@ -393,7 +372,7 @@ def grid_region(g: LinkGains, step: float = 0.05,
             a2_idx, pair = np.divmod(np.flatnonzero(valid)[i], len(q1p))
             kept.append((r1, r2, np.full(len(i), a1_val), levels[a2_idx],
                          q1p[pair], q2p[pair], b3p[pair]))
-    for batch in _line_batches(restriction, levels, p):
+    for batch in lattice.line_batches(levels, p):
         a1, a2, q1, q2, b3 = batch
         r1a, r2a, r1b, r2b = _corner_rates(g, a1, p - a1, a2, p - a2, q1, q2, b3)
         r1, r2, i = pareto(np.concatenate([r1a, r1b]), np.concatenate([r2a, r2b]))
@@ -431,8 +410,7 @@ def grid_region(g: LinkGains, step: float = 0.05,
     )
 
 
-def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025,
-              cap: Optional[int] = None) -> list[float]:
+def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025) -> list[float]:
     """Best weighted sum over the composite lattice, per weight.
 
     Searches only the relay's full-power face ``beta3 = p - pw1 - pw2``
@@ -465,11 +443,10 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025,
     """
     validate_gains(g)
     step = _validate_step(step, g.p)
-    for mu in mus:
-        _check_mu(mu)
+    mus = [validate_mu(mu) for mu in mus]
     p = g.p
     levels = _levels(p, step)
-    _check_cap(len(levels) ** 2 * _simplex_pair_count(levels, p), cap)
+    _check_cap(len(levels) ** 2 * _simplex_pair_count(levels, p))
     q1p, q2p = _simplex_pairs(levels, p)
     b3p = _relay_bin(p, q1p, q2p, zero_bin=False)
     favor1 = [mu >= 0.5 for mu in mus]
@@ -489,14 +466,16 @@ def local_grid_best(g: LinkGains, mu: float, center: PowerAllocation,
     Varies (alpha1, alpha2, pw1, pw2, beta3) within ``radius`` of the
     center, clipped to the feasible set. Used to probe whether a solver
     point is locally beatable. ``radius`` must be finite and nonnegative
-    and ``points_per_axis`` a positive integer.
+    and ``points_per_axis`` a positive integer; the cap counts the
+    ``points_per_axis ** 5`` points of the box.
     """
     validate_gains(g)
-    _check_mu(mu)
+    mu = validate_mu(mu)
     if not (math.isfinite(radius) and radius >= 0.0):
         raise ValidationError(f"radius must be finite and nonnegative, got {radius!r}")
     if not (isinstance(points_per_axis, int) and points_per_axis >= 1):
         raise ValidationError(f"points_per_axis must be an integer >= 1, got {points_per_axis!r}")
+    _check_cap(points_per_axis ** 5)
     p = g.p
     if p <= 0.0:
         return 0.0
@@ -523,8 +502,7 @@ def local_grid_best(g: LinkGains, mu: float, center: PowerAllocation,
     return max(wa, wb)
 
 
-def audit_grid_best(g: LinkGains, mu: float, step: float,
-                    cap: Optional[int] = None) -> float:
+def audit_grid_best(g: LinkGains, mu: float, step: float) -> float:
     """Best weighted sum over the unreduced lattice.
 
     Unlike :func:`grid_best` this varies all seven powers, including
@@ -532,17 +510,23 @@ def audit_grid_best(g: LinkGains, mu: float, step: float,
     the full-power reductions lose nothing. Keep the step coarse.
     """
     validate_gains(g)
-    _check_mu(mu)
+    mu = validate_mu(mu)
     step = _validate_step(step, g.p)
     p = g.p
     levels = _levels(p, step)
     pa, pb = _simplex_pairs(levels, p)
     m_pairs = len(pa)
-    q1g, q2g, b3g = np.meshgrid(levels, levels, levels, indexing="ij")
-    tri_mask = q1g + q2g + b3g <= p * (1.0 + 1e-12)
-    q1t, q2t, b3t = q1g[tri_mask], q2g[tri_mask], b3g[tri_mask]
-    m_tri = len(q1t)
-    _check_cap(m_pairs * m_pairs * m_tri, cap)
+    # relay triples (q1, q2, b3) within budget, one q1 level at a time, so
+    # no array is n**3 and the cap is checked before any lattice is built
+    q2g, b3g = np.meshgrid(levels, levels, indexing="ij")
+    budget = p * (1.0 + 1e-12)
+    counts = [int(np.count_nonzero(q1 + q2g + b3g <= budget)) for q1 in levels]
+    m_tri = sum(counts)
+    _check_cap(m_pairs * m_pairs * m_tri)
+    masks = [q1 + q2g + b3g <= budget for q1 in levels]
+    q1t = np.repeat(levels, counts)
+    q2t = np.concatenate([q2g[m] for m in masks])
+    b3t = np.concatenate([b3g[m] for m in masks])
     best = -math.inf
     a2 = np.repeat(pa, m_tri)
     b2 = np.repeat(pb, m_tri)
@@ -597,119 +581,3 @@ def hull_exceeds(outer: RegionHull, inner: RegionHull, margin: float) -> bool:
         if v.r2 >= bound + margin:
             return True
     return False
-
-
-@dataclass(frozen=True)
-class MapCell:
-    """One relay position in the technique map.
-
-    ``source`` is "table" when the lookup table applied, "solver" when
-    the side condition failed and labels came from the numeric solver,
-    and "skipped" when the relay coincided with a user.
-    """
-
-    x: float
-    y: float
-    regime: Optional[Regime]
-    assignment: Optional[SchemeAssignment]
-    source: str
-
-
-DEFAULT_MAP_BOUNDS = (-20.0, 40.0, -30.0, 30.0)
-DEFAULT_MAP_RESOLUTION = 61
-
-
-def regime_map(geom_template: Geometry = Geometry(),
-               bounds: tuple[float, float, float, float] = DEFAULT_MAP_BOUNDS,
-               resolution: int = DEFAULT_MAP_RESOLUTION,
-               mu: float = 0.75,
-               p: float = 1.0) -> list[MapCell]:
-    """Technique labels over a grid of relay positions.
-
-    ``resolution`` is the number of grid points per axis, endpoints
-    included. Cells are emitted row by row (y outer, x inner).
-    """
-    validate_geometry(geom_template)
-    if not (isinstance(resolution, int) and resolution >= 2):
-        raise ValidationError(f"resolution must be an integer >= 2, got {resolution!r}")
-    xmin, xmax, ymin, ymax = (float(b) for b in bounds)
-    if not (math.isfinite(xmin) and math.isfinite(xmax) and xmin < xmax):
-        raise ValidationError(f"x bounds must satisfy xmin < xmax, got {xmin!r}, {xmax!r}")
-    if not (math.isfinite(ymin) and math.isfinite(ymax) and ymin < ymax):
-        raise ValidationError(f"y bounds must satisfy ymin < ymax, got {ymin!r}, {ymax!r}")
-    _check_mu(mu)
-    xs = np.linspace(xmin, xmax, resolution)
-    ys = np.linspace(ymin, ymax, resolution)
-    cells: list[MapCell] = []
-    for y in ys:
-        for x in xs:
-            geom = geom_template.with_relay((float(x), float(y)))
-            try:
-                g = gains_from_geometry(geom, p=p)
-            except CoincidentNodesError:
-                cells.append(MapCell(float(x), float(y), None, None, "skipped"))
-                continue
-            reg = classify(g)
-            swapped_reg = classify(g.swapped()) if mu <= 0.5 else None
-            try:
-                decision = technique_lookup(reg, mu, swapped_reg=swapped_reg)
-                cells.append(MapCell(float(x), float(y), reg, decision.assignment, "table"))
-            except SideConditionError:
-                res = solve(g, mu)
-                cells.append(MapCell(float(x), float(y), reg, res.assignment, "solver"))
-    return cells
-
-
-@dataclass(frozen=True)
-class ProfilePoint:
-    """Required total relay power at one position (``beta3`` holds the
-    whole relay budget in use, coherent parts included)."""
-
-    x: float
-    y: float
-    beta3: float
-
-
-def relay_power_profile(geom_template: Geometry = Geometry(),
-                        samples: int = 41,
-                        start: Optional[tuple[float, float]] = None,
-                        end: Optional[tuple[float, float]] = None,
-                        mu: float = 0.75,
-                        p: float = 1.0) -> list[ProfilePoint]:
-    """Relay power needed at interior points of a segment.
-
-    The segment defaults to the line between the two users; samples are
-    placed at fractions k/(samples+1) for k = 1..samples, so a single
-    sample lands at the midpoint. Per sample: full power when any
-    coherent component is active at the optimum, the independent-coding
-    minimum-power formula in its cells, the solver's minimized bin power
-    otherwise.
-    """
-    validate_geometry(geom_template)
-    if not (isinstance(samples, int) and samples >= 1):
-        raise ValidationError(f"samples must be a positive integer, got {samples!r}")
-    _check_mu(mu)
-    sx, sy = start if start is not None else geom_template.user1
-    ex, ey = end if end is not None else geom_template.user2
-    for name, value in (("start", (sx, sy)), ("end", (ex, ey))):
-        if not (math.isfinite(value[0]) and math.isfinite(value[1])):
-            raise ValidationError(f"segment {name} must be finite, got {value!r}")
-    points: list[ProfilePoint] = []
-    act = ACTIVITY_THRESHOLD * p
-    for k in range(samples):
-        t = (k + 1) / (samples + 1)
-        x = sx + t * (ex - sx)
-        y = sy + t * (ey - sy)
-        geom = geom_template.with_relay((x, y))
-        g = gains_from_geometry(geom, p=p)
-        res: SolveResult = solve(g, mu)
-        alloc = res.allocation
-        if alloc.pw1 + alloc.pw2 > act:
-            power = p
-        else:
-            try:
-                power = min_relay_power(g)
-            except WrongRegimeError:
-                power = alloc.beta3
-        points.append(ProfilePoint(x=x, y=y, beta3=power))
-    return points

@@ -120,6 +120,14 @@ def capacity(x: float) -> float:
     return math.log2(1.0 + x)
 
 
+def validate_mu(mu: float) -> float:
+    """The rate weight ``mu`` as a float; raises :class:`ValidationError`
+    unless it is a finite number in [0, 1]."""
+    if not (isinstance(mu, (int, float)) and math.isfinite(mu) and 0.0 <= mu <= 1.0):
+        raise ValidationError(f"mu must lie in [0, 1], got {mu!r}")
+    return float(mu)
+
+
 def validate_allocation(a: PowerAllocation, p: float) -> PowerAllocation:
     """Check nonnegativity, the three power budgets, and pw/alpha coupling.
 
@@ -250,7 +258,7 @@ def allocation_inputs(a: PowerAllocation) -> tuple[float, float, float, float, f
             a.pw1 + a.beta3, a.pw2 + a.beta3)
 
 
-def compute_constraints(g: LinkGains, a: PowerAllocation, *, validate: bool = True) -> RateConstraints:
+def compute_constraints(g: LinkGains, a: PowerAllocation) -> RateConstraints:
     """Evaluate the five rate bounds for gains ``g`` and allocation ``a``.
 
     The user-side bounds ``j2``/``j4`` use the full budget ``p`` in their
@@ -258,8 +266,7 @@ def compute_constraints(g: LinkGains, a: PowerAllocation, *, validate: bool = Tr
     plus the coherent cross term ``2 * g * g * sqrt(pw_i * alpha_i)`` and
     the relay's forwarded power (see :class:`RateKernel`).
     """
-    if validate:
-        validate_allocation(a, g.p)
+    validate_allocation(a, g.p)
     return RateConstraints(*RateKernel(g).bounds(*allocation_inputs(a)))
 
 
@@ -291,8 +298,7 @@ def best_weighted_point(c: RateConstraints, mu: float) -> RatePoint:
     favored rate never exceeds ``j5``, so the other user's share
     ``j5 - r`` is nonnegative.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ValidationError(f"mu must lie in [0, 1], got {mu!r}")
+    mu = validate_mu(mu)
     for name in ("j1", "j2", "j3", "j4", "j5"):
         if getattr(c, name) < 0:
             raise ValidationError(f"rate constraint {name} must be nonnegative, got {getattr(c, name)!r}")

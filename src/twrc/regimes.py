@@ -29,6 +29,7 @@ from typing import Optional
 
 from .channel import LinkGains, validate_gains
 from .errors import SideConditionError, ValidationError
+from .rate_region import validate_mu
 
 R_LABELS = ("R1", "R2", "R3")
 T_LABELS = ("T1", "T2", "T3", "T4", "T5")
@@ -168,8 +169,7 @@ def technique_lookup(
     when the relevant orientation's side condition fails; the numeric
     solver is the fallback in that case.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ValidationError(f"mu must lie in [0, 1], got {mu!r}")
+    mu = validate_mu(mu)
 
     def direct_assignment(r: Regime) -> SchemeAssignment:
         if not r.side_condition_holds:

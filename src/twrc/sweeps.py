@@ -1,0 +1,138 @@
+"""Sweeps over relay positions that call the solver: the technique map,
+with the table-or-solver labelling rule it shares with ``twrc classify``,
+and the required-relay-power profile along a segment."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from .channel import Geometry, LinkGains, gains_from_geometry, validate_geometry
+from .errors import CoincidentNodesError, SideConditionError, ValidationError, WrongRegimeError
+from .optimizer import ACTIVITY_THRESHOLD, min_relay_power, solve
+from .rate_region import validate_mu
+from .regimes import Regime, SchemeAssignment, TechniqueDecision, classify, technique_lookup
+
+
+def technique_labels(g: LinkGains, reg: Regime, mu: float) -> tuple[TechniqueDecision, str]:
+    """Labels for gains ``g`` with ``reg = classify(g)``, and their source:
+    ``"table"`` when the technique table applies, else ``"solver"``. The
+    caller passes ``reg`` because it reports the regime too."""
+    swapped_reg = classify(g.swapped()) if mu <= 0.5 else None
+    try:
+        return technique_lookup(reg, mu, swapped_reg=swapped_reg), "table"
+    except SideConditionError:
+        return TechniqueDecision(assignment=solve(g, mu).assignment), "solver"
+
+
+@dataclass(frozen=True)
+class MapCell:
+    """One relay position in the technique map.
+
+    ``source`` is "table" when the lookup table applied, "solver" when
+    the side condition failed and labels came from the numeric solver,
+    and "skipped" when the relay coincided with a user.
+    """
+
+    x: float
+    y: float
+    regime: Optional[Regime]
+    assignment: Optional[SchemeAssignment]
+    source: str
+
+
+DEFAULT_MAP_BOUNDS = (-20.0, 40.0, -30.0, 30.0)
+DEFAULT_MAP_RESOLUTION = 61
+
+
+def regime_map(geom_template: Geometry = Geometry(),
+               bounds: tuple[float, float, float, float] = DEFAULT_MAP_BOUNDS,
+               resolution: int = DEFAULT_MAP_RESOLUTION,
+               mu: float = 0.75,
+               p: float = 1.0) -> list[MapCell]:
+    """Technique labels over a grid of relay positions.
+
+    ``resolution`` is the number of grid points per axis, endpoints
+    included. Cells are emitted row by row (y outer, x inner).
+    """
+    validate_geometry(geom_template)
+    if not (isinstance(resolution, int) and resolution >= 2):
+        raise ValidationError(f"resolution must be an integer >= 2, got {resolution!r}")
+    xmin, xmax, ymin, ymax = (float(b) for b in bounds)
+    if not (math.isfinite(xmin) and math.isfinite(xmax) and xmin < xmax):
+        raise ValidationError(f"x bounds must satisfy xmin < xmax, got {xmin!r}, {xmax!r}")
+    if not (math.isfinite(ymin) and math.isfinite(ymax) and ymin < ymax):
+        raise ValidationError(f"y bounds must satisfy ymin < ymax, got {ymin!r}, {ymax!r}")
+    mu = validate_mu(mu)
+    xs = np.linspace(xmin, xmax, resolution)
+    ys = np.linspace(ymin, ymax, resolution)
+    cells: list[MapCell] = []
+    for y in ys:
+        for x in xs:
+            geom = geom_template.with_relay((float(x), float(y)))
+            try:
+                g = gains_from_geometry(geom, p=p)
+            except CoincidentNodesError:
+                cells.append(MapCell(float(x), float(y), None, None, "skipped"))
+                continue
+            reg = classify(g)
+            decision, source = technique_labels(g, reg, mu)
+            cells.append(MapCell(float(x), float(y), reg, decision.assignment, source))
+    return cells
+
+
+@dataclass(frozen=True)
+class ProfilePoint:
+    """Required total relay power at one position (``beta3`` holds the
+    whole relay budget in use, coherent parts included)."""
+
+    x: float
+    y: float
+    beta3: float
+
+
+def relay_power_profile(geom_template: Geometry = Geometry(),
+                        samples: int = 41,
+                        start: Optional[tuple[float, float]] = None,
+                        end: Optional[tuple[float, float]] = None,
+                        mu: float = 0.75,
+                        p: float = 1.0) -> list[ProfilePoint]:
+    """Relay power needed at interior points of a segment.
+
+    The segment defaults to the line between the two users; samples are
+    placed at fractions k/(samples+1) for k = 1..samples, so a single
+    sample lands at the midpoint. Per sample: full power when any
+    coherent component is active at the optimum, the independent-coding
+    minimum-power formula in its cells, the solver's minimized bin power
+    otherwise.
+    """
+    validate_geometry(geom_template)
+    if not (isinstance(samples, int) and samples >= 1):
+        raise ValidationError(f"samples must be a positive integer, got {samples!r}")
+    mu = validate_mu(mu)
+    sx, sy = start if start is not None else geom_template.user1
+    ex, ey = end if end is not None else geom_template.user2
+    for name, value in (("start", (sx, sy)), ("end", (ex, ey))):
+        if not (math.isfinite(value[0]) and math.isfinite(value[1])):
+            raise ValidationError(f"segment {name} must be finite, got {value!r}")
+    points: list[ProfilePoint] = []
+    act = ACTIVITY_THRESHOLD * p
+    for k in range(samples):
+        t = (k + 1) / (samples + 1)
+        x = sx + t * (ex - sx)
+        y = sy + t * (ey - sy)
+        geom = geom_template.with_relay((x, y))
+        g = gains_from_geometry(geom, p=p)
+        alloc = solve(g, mu).allocation
+        if alloc.pw1 + alloc.pw2 > act:
+            power = p
+        else:
+            try:
+                power = min_relay_power(g)
+            except WrongRegimeError:
+                power = alloc.beta3
+        points.append(ProfilePoint(x=x, y=y, beta3=power))
+    return points

@@ -1,12 +1,15 @@
+import ast
 import math
 import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twrc import oracle
+from twrc import oracle, sweeps
 from twrc import (
     Geometry,
     GridCapError,
@@ -16,7 +19,9 @@ from twrc import (
     SchemeRestriction,
     TECHNIQUE_TABLE,
     ValidationError,
+    assignment_for_gains,
     audit_grid_best,
+    classify,
     compute_constraints,
     gains_from_geometry,
     grid_best,
@@ -110,23 +115,15 @@ class TestGridRegion:
         with pytest.raises(ValidationError, match="step"):
             grid_region(R3T5_GAINS, step=2.0)
 
-    def test_grid_cap_enforced_by_argument(self):
-        with pytest.raises(GridCapError, match="cap"):
-            grid_region(R3T5_GAINS, step=0.05, cap=100)
-
     def test_grid_cap_enforced_by_environment(self, monkeypatch):
         monkeypatch.setenv("TWRC_GRID_CAP", "50")
         with pytest.raises(GridCapError, match="TWRC_GRID_CAP"):
             grid_region(R3T5_GAINS, step=0.05)
 
-    def test_cap_error_message_counts_evaluations(self):
+    def test_cap_error_message_counts_evaluations(self, monkeypatch):
+        monkeypatch.setenv("TWRC_GRID_CAP", "10")
         with pytest.raises(GridCapError, match=r"\d+ evaluations"):
-            grid_region(R3T5_GAINS, step=0.05, cap=10)
-
-    @pytest.mark.parametrize("cap", [10.5, True, math.nan, 0, -3, "100"])
-    def test_malformed_cap_argument_rejected(self, cap):
-        with pytest.raises(ValidationError, match="grid cap"):
-            grid_region(R3T5_GAINS, step=0.25, cap=cap)
+            grid_region(R3T5_GAINS, step=0.05)
 
     @pytest.mark.parametrize("raw", ["abc", "1e9", "10.5", "0", "-3"])
     def test_malformed_cap_environment_rejected(self, monkeypatch, raw):
@@ -224,12 +221,14 @@ class TestGridBest:
         with pytest.raises(ValidationError, match="mu"):
             grid_best(R3T5_GAINS, [mu], step=0.25)
 
-    def test_grid_cap_counts_the_full_power_face(self):
+    def test_grid_cap_counts_the_full_power_face(self, monkeypatch):
         # step p/4: 5 levels per user split, 15 relay simplex pairs
         count = 5 * 5 * 15
+        monkeypatch.setenv("TWRC_GRID_CAP", str(count - 1))
         with pytest.raises(GridCapError, match=rf"{count} evaluations"):
-            grid_best(R3T5_GAINS, (0.5,), step=0.25, cap=count - 1)
-        assert len(grid_best(R3T5_GAINS, (0.5,), step=0.25, cap=count)) == 1
+            grid_best(R3T5_GAINS, (0.5,), step=0.25)
+        monkeypatch.setenv("TWRC_GRID_CAP", str(count))
+        assert len(grid_best(R3T5_GAINS, (0.5,), step=0.25)) == 1
 
 
 GRID_BEST_MUS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -400,6 +399,18 @@ class TestRegimeMap:
                 c.assignment.user1, c.assignment.user2
             ), (c.x, c.y, c.regime.cell)
 
+    def test_labels_come_from_the_table_else_the_solver(self):
+        for mu in (0.75, 0.5, 0.25):
+            decision, source = sweeps.technique_labels(R3T5_GAINS, classify(R3T5_GAINS), mu)
+            assert source == "table"
+            assert decision == assignment_for_gains(R3T5_GAINS, mu)
+        g = LinkGains(g12=1.0, g21=0.5, g1r=0.1, gr1=1.0, g2r=0.5, gr2=1.0, p=1.0)
+        reg = classify(g)
+        assert not reg.side_condition_holds
+        decision, source = sweeps.technique_labels(g, reg, 0.75)
+        assert source == "solver"
+        assert decision.assignment == solve(g, 0.75).assignment
+
     def test_resolution_validation(self):
         with pytest.raises(ValidationError, match="resolution"):
             regime_map(resolution=1)
@@ -484,3 +495,63 @@ class TestLocalAndAuditValidation:
     def test_audit_rejects_mu_outside_unit_interval(self, mu):
         with pytest.raises(ValidationError, match="mu"):
             audit_grid_best(R3T5_GAINS, mu, step=0.25)
+
+    def test_local_checks_the_grid_cap(self, monkeypatch):
+        # the default box holds 9 ** 5 points
+        monkeypatch.setenv("TWRC_GRID_CAP", "10")
+        with pytest.raises(GridCapError, match=rf"{9 ** 5} evaluations"):
+            local_grid_best(R3T5_GAINS, 0.75, self.center, radius=0.02)
+
+    def test_audit_checks_the_cap_before_building_the_lattice(self, monkeypatch):
+        # step p/100 has 101 levels: the full relay meshgrid would take
+        # about 32 MB, counting the triples one level at a time well under 1
+        monkeypatch.setenv("TWRC_GRID_CAP", "1")
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridCapError):
+                audit_grid_best(R3T5_GAINS, 0.75, step=0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_audit_matches_the_full_relay_meshgrid(self):
+        # the relay triples the cube mask keeps, in the same order
+        g, step = R3T5_GAINS, 0.25
+        p = g.p
+        levels = oracle._levels(p, step)
+        pa, pb = oracle._simplex_pairs(levels, p)
+        q1g, q2g, b3g = np.meshgrid(levels, levels, levels, indexing="ij")
+        mask = q1g + q2g + b3g <= p * (1.0 + 1e-12)
+        q1t, q2t, b3t = q1g[mask], q2g[mask], b3g[mask]
+        best = -math.inf
+        for a1, b1 in zip(pa, pb):
+            for a2, b2 in zip(pa, pb):
+                ok = ((q1t <= 0.0) | (a1 > 0.0)) & ((q2t <= 0.0) | (a2 > 0.0))
+                k = int(ok.sum())
+                if k == 0:
+                    continue
+                r1a, r2a, r1b, r2b = oracle._corner_rates(
+                    g, np.full(k, a1), np.full(k, b1), np.full(k, a2), np.full(k, b2),
+                    q1t[ok], q2t[ok], b3t[ok])
+                best = max(best, float(np.max(0.75 * r1a + 0.25 * r2a)),
+                           float(np.max(0.75 * r1b + 0.25 * r2b)))
+        assert audit_grid_best(g, 0.75, step=step) == pytest.approx(best, abs=1e-15)
+
+
+def test_oracle_imports_only_the_rate_formulas():
+    """The oracle checks the solver, so it must not depend on it: of twrc's
+    modules it may import only ``channel``, ``errors`` and ``rate_region``."""
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            # "from .x import y" or "from . import x"
+            modules.update([f"twrc.{node.module}"] if node.module else
+                           (f"twrc.{a.name}" for a in node.names))
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    twrc_modules = {m for m in modules if m == "twrc" or m.startswith("twrc.")}
+    assert twrc_modules <= {"twrc.channel", "twrc.errors", "twrc.rate_region"}, twrc_modules

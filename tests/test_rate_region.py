@@ -17,7 +17,7 @@ from twrc import (
     compute_constraints,
 )
 
-from twrc.rate_region import ALLOCATION_FIELDS, RateKernel, pentagon_corner
+from twrc.rate_region import ALLOCATION_FIELDS, RateKernel, pentagon_corner, validate_mu
 
 from helpers import R3T5_GAINS, random_gains
 
@@ -153,6 +153,16 @@ class TestBestWeightedPoint:
         c = RateConstraints(j1=1, j2=1, j3=1, j4=1, j5=1)
         with pytest.raises(ValidationError):
             best_weighted_point(c, 1.5)
+
+    @pytest.mark.parametrize("mu", [None, "0.5", math.nan])
+    def test_rejects_mu_that_is_not_a_finite_number(self, mu):
+        c = RateConstraints(j1=1, j2=1, j3=1, j4=1, j5=1)
+        with pytest.raises(ValidationError, match="mu"):
+            best_weighted_point(c, mu)
+
+    def test_validate_mu_returns_a_float(self):
+        assert validate_mu(1) == 1.0 and isinstance(validate_mu(1), float)
+        assert validate_mu(0.25) == 0.25
 
     def test_rejects_negative_constraint(self):
         c = RateConstraints(j1=-0.1, j2=1, j3=1, j4=1, j5=1)

@@ -122,6 +122,11 @@ class TestTechniqueLookup:
         with pytest.raises(ValidationError):
             technique_lookup(Regime("R1", "T1", True), -0.1)
 
+    @pytest.mark.parametrize("mu", ["0.5", None, math.nan, math.inf])
+    def test_rejects_mu_that_is_not_a_finite_number(self, mu):
+        with pytest.raises(ValidationError, match="mu"):
+            technique_lookup(Regime("R1", "T1", True), mu, Regime("R1", "T1", True))
+
 
 class TestAssignmentForGains:
     def test_showcase_gains_both_users_composite(self):
