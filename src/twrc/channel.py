@@ -81,16 +81,19 @@ def validate_gains(g: LinkGains) -> LinkGains:
     Returns the input unchanged when valid so calls can be chained.
     Raises :class:`ValidationError` naming the offending field otherwise.
     """
-    for name in GAIN_FIELDS:
+    for name in GAIN_FIELDS + ("p",):
         value = getattr(g, name)
-        if not math.isfinite(value):
-            raise ValidationError(f"gain {name} must be finite, got {value!r}")
-        if value < 0:
-            raise ValidationError(f"gain {name} must be nonnegative, got {value!r}")
-    if not math.isfinite(g.p):
-        raise ValidationError(f"power budget p must be finite, got {g.p!r}")
-    if g.p < 0:
-        raise ValidationError(f"power budget p must be nonnegative, got {g.p!r}")
+        try:
+            if not math.isfinite(value):
+                problem = "be finite"
+            elif value < 0:
+                problem = "be nonnegative"
+            else:
+                continue
+        except TypeError:
+            problem = "be a number"
+        field = "power budget p" if name == "p" else f"gain {name}"
+        raise ValidationError(f"{field} must {problem}, got {value!r}")
     return g
 
 
@@ -118,29 +121,31 @@ class Geometry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Geometry":
-        kwargs = {}
-        for key in ("user1", "user2", "relay"):
-            if key in data:
-                point = data[key]
-                if not isinstance(point, (list, tuple)) or len(point) != 2:
-                    raise ValidationError(f"geometry {key} must be an [x, y] pair")
-                kwargs[key] = (float(point[0]), float(point[1]))
-        for key in ("gamma1", "gamma2"):
-            if key in data:
-                kwargs[key] = float(data[key])
+        points = [key for key in ("user1", "user2", "relay") if key in data]
+        for key in points:
+            if not isinstance(data[key], (list, tuple)) or len(data[key]) != 2:
+                raise ValidationError(f"geometry {key} must be an [x, y] pair")
+        try:
+            kwargs = {key: (float(data[key][0]), float(data[key][1])) for key in points}
+            kwargs.update((key, float(data[key])) for key in ("gamma1", "gamma2") if key in data)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"geometry values must be numbers: {exc}") from None
         return validate_geometry(cls(**kwargs))
 
 
 def validate_geometry(geom: Geometry) -> Geometry:
-    """Check coordinates are finite and exponents positive."""
-    for name in ("user1", "user2", "relay"):
-        point = getattr(geom, name)
-        if not all(math.isfinite(v) for v in point):
-            raise ValidationError(f"position {name} must have finite coordinates, got {point!r}")
-    for name in ("gamma1", "gamma2"):
-        value = getattr(geom, name)
-        if not math.isfinite(value) or value <= 0:
-            raise ValidationError(f"path-loss exponent {name} must be positive, got {value!r}")
+    """Check coordinates are finite numbers and exponents positive."""
+    try:
+        for name in ("user1", "user2", "relay"):
+            point = getattr(geom, name)
+            if not all(math.isfinite(v) for v in point):
+                raise ValidationError(f"position {name} must have finite coordinates, got {point!r}")
+        for name in ("gamma1", "gamma2"):
+            value = getattr(geom, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValidationError(f"path-loss exponent {name} must be positive, got {value!r}")
+    except TypeError as exc:
+        raise ValidationError(f"geometry {name} must be numeric: {exc}") from None
     return geom
 
 
@@ -164,7 +169,11 @@ def gains_from_geometry(geom: Geometry, p: float = 1.0) -> LinkGains:
     the path-loss law diverges at zero distance.
     """
     validate_geometry(geom)
-    if not math.isfinite(p) or p < 0:
+    try:
+        valid_p = math.isfinite(p) and p >= 0
+    except TypeError:
+        valid_p = False
+    if not valid_p:
         raise ValidationError(f"power budget p must be finite and nonnegative, got {p!r}")
     pairs = (
         ("user1", "user2", geom.user1, geom.user2),

@@ -33,6 +33,10 @@ times per solve is the kernel's flat fast path,
 bit-identical to those two composed (a hypothesis test in
 ``tests/test_rate_region.py`` compares them with ``==``).
 
+Every path, the zero-budget answer, the numeric optimum and both closed
+forms, ends in ``_result``, the one place a :class:`SolveResult` is
+built; a new result field is computed there.
+
 All rates are log base 2 (bits per channel use).
 """
 
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -116,18 +120,7 @@ class KktDiagnostics:
     stationarity_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "lambda3": self.lambda3,
-            "lambda4": self.lambda4,
-            "lambda5": self.lambda5,
-            "lambda6": self.lambda6,
-            "lambda7": self.lambda7,
-            "lambda8": self.lambda8,
-            "complementary_slackness_residual": self.complementary_slackness_residual,
-            "stationarity_residual": self.stationarity_residual,
-        }
+        return asdict(self)
 
 
 _ZERO_DIAGNOSTICS = KktDiagnostics(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -445,32 +438,19 @@ def _infer_assignment(g: LinkGains, alloc: PowerAllocation, rates: RatePoint) ->
     bm1 = alloc.alpha1 > act and alloc.pw1 > act
     bm2 = alloc.alpha2 > act and alloc.pw2 > act
 
-    def needs_bin(rate: float, base: float, relay_gain_sq: float) -> bool:
-        if alloc.beta3 <= act:
-            return False
-        deficit = (2.0 ** rate - 1.0) - base
-        return deficit > act * relay_gain_sq
-
     k = RateKernel(g)
     base1, base2 = k.user_snrs(math.sqrt(max(alloc.pw1 * alloc.alpha1, 0.0)),
                                math.sqrt(max(alloc.pw2 * alloc.alpha2, 0.0)),
                                alloc.pw1, alloc.pw2)
-    ind1 = needs_bin(rates.r1, base1, k.beam2)
-    ind2 = needs_bin(rates.r2, base2, k.beam1)
 
-    if bm1 and bm2:
-        user1 = Technique.BOTH if ind1 else Technique.BM
-        user2 = Technique.BOTH if ind2 else Technique.BM
-    elif bm1:
-        user1 = Technique.BM
-        user2 = Technique.IND if ind2 else Technique.DT
-    elif bm2:
-        user2 = Technique.BM
-        user1 = Technique.IND if ind1 else Technique.DT
-    else:
-        user1 = Technique.IND if ind1 else Technique.DT
-        user2 = Technique.IND if ind2 else Technique.DT
-    return SchemeAssignment(user1=user1, user2=user2)
+    def label(bm: bool, other_bm: bool, rate: float, base: float, relay_gain_sq: float) -> Technique:
+        needs_bin = alloc.beta3 > act and (2.0 ** rate - 1.0) - base > act * relay_gain_sq
+        if bm:
+            return Technique.BOTH if needs_bin and other_bm else Technique.BM
+        return Technique.IND if needs_bin else Technique.DT
+
+    return SchemeAssignment(user1=label(bm1, bm2, rates.r1, base1, k.beam2),
+                            user2=label(bm2, bm1, rates.r2, base2, k.beam1))
 
 
 def _recover_duals(g: LinkGains, mu: float, alloc: PowerAllocation,
@@ -544,24 +524,41 @@ def _recover_duals(g: LinkGains, mu: float, alloc: PowerAllocation,
     )
 
 
+def _result(g: LinkGains, mu: float, alloc: PowerAllocation, method: str,
+            cons: Optional[RateConstraints] = None) -> SolveResult:
+    """The one place a :class:`SolveResult` is built: the rates at the corner
+    ``mu`` favors, the other corner at ``mu = 1/2`` when it differs by more
+    than 1e-12, the labels and the duals. ``cons`` passes bounds a caller
+    already evaluated for ``alloc``, so they are not evaluated twice."""
+    if cons is None:
+        cons = compute_constraints(g, alloc)
+    rates = best_weighted_point(cons, mu)
+    alternate = None
+    if mu == 0.5:
+        other = best_weighted_point(cons, 0.0)
+        if abs(other.r1 - rates.r1) > 1e-12 or abs(other.r2 - rates.r2) > 1e-12:
+            alternate = other
+    return SolveResult(
+        allocation=alloc,
+        rates=rates,
+        assignment=_infer_assignment(g, alloc, rates),
+        weighted_sum=rates.weighted_sum(mu),
+        diagnostics=_recover_duals(g, mu, alloc, cons, rates),
+        mu=mu,
+        method=method,
+        alternate_rates=alternate,
+        ambiguous=alternate is not None,
+    )
+
+
 def _finalize(obj: _Objective, g: LinkGains, mu: float, x, method: str) -> SolveResult:
     p = g.p
     val = obj.value(x)
     snap_tol = _SNAP_TOL * max(1.0, abs(val))
-    for idx in (2, 3):
-        if x[idx] > 0.0:
-            cand = list(x)
-            cand[idx] = 0.0
-            cand = tuple(cand)
-            v = obj.value(cand)
-            if v >= val - snap_tol:
-                x, val = cand, v
-    for a_idx, q_idx in ((0, 2), (1, 3)):
-        if x[a_idx] > 0.0:
-            cand = list(x)
-            cand[a_idx] = 0.0
-            cand[q_idx] = 0.0
-            cand = tuple(cand)
+    # zero each coherent power, then each repeated power with its partner
+    for zeroed in ((2,), (3,), (0, 2), (1, 3)):
+        if x[zeroed[0]] > 0.0:
+            cand = tuple(0.0 if i in zeroed else v for i, v in enumerate(x))
             v = obj.value(cand)
             if v >= val - snap_tol:
                 x, val = cand, v
@@ -575,83 +572,43 @@ def _finalize(obj: _Objective, g: LinkGains, mu: float, x, method: str) -> Solve
 
     a1, a2, q1, q2 = x
     act = ACTIVITY_THRESHOLD * p
-    r1, r2 = obj.rates(x)
     if q1 + q2 > act:
         beta3 = max(float(p - q1 - q2), 0.0)
     else:
+        r1, r2 = obj.rates(x)
         beta3 = max(float(_min_beta3(obj, x, r1, r2)), 0.0)
     alloc = PowerAllocation(
         alpha1=a1, beta1=p - a1, alpha2=a2, beta2=p - a2,
         pw1=q1, pw2=q2, beta3=beta3,
     )
-    cons = compute_constraints(g, alloc)
-    rates = best_weighted_point(cons, mu)
-    assignment = _infer_assignment(g, alloc, rates)
-    alternate = None
-    ambiguous = False
-    if mu == 0.5:
-        other = best_weighted_point(cons, 0.0)
-        if abs(other.r1 - rates.r1) > 1e-12 or abs(other.r2 - rates.r2) > 1e-12:
-            alternate = other
-            ambiguous = True
-    diagnostics = _recover_duals(g, mu, alloc, cons, rates)
-    return SolveResult(
-        allocation=alloc,
-        rates=rates,
-        assignment=assignment,
-        weighted_sum=rates.weighted_sum(mu),
-        diagnostics=diagnostics,
-        mu=mu,
-        method=method,
-        alternate_rates=alternate,
-        ambiguous=ambiguous,
-    )
-
-
-def _trivial_result(g: LinkGains, mu: float) -> SolveResult:
-    alloc = PowerAllocation(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    cons = compute_constraints(g, alloc)
-    rates = best_weighted_point(cons, mu)
-    return SolveResult(
-        allocation=alloc,
-        rates=rates,
-        assignment=_infer_assignment(g, alloc, rates),
-        weighted_sum=rates.weighted_sum(mu),
-        diagnostics=_ZERO_DIAGNOSTICS,
-        mu=mu,
-        method="trivial",
-    )
+    return _result(g, mu, alloc, method)
 
 
 def _closed_form_r2t34(g: LinkGains, mu: float) -> Optional[SolveResult]:
-    """Both users independent: full fresh power, minimal bin power."""
+    """Both users independent: full fresh power, minimal bin power.
+
+    :func:`solve` calls this only in cells (R2,T3) and (R2,T4) with the
+    side condition, which lie inside :func:`min_relay_power`'s closed
+    ranges in the same float expressions (``x <= x * scale`` for
+    ``scale >= 1``; the side condition is ``g12**2 * scale <= g12**2 +
+    g1r**2``), so that call does not raise :class:`WrongRegimeError`.
+    """
     p = g.p
-    try:
-        beta3 = min_relay_power(g)
-    except WrongRegimeError:
-        return None
-    alloc = PowerAllocation(0.0, p, 0.0, p, 0.0, 0.0, beta3)
+    alloc = PowerAllocation(0.0, p, 0.0, p, 0.0, 0.0, min_relay_power(g))
     cons = compute_constraints(g, alloc)
-    rates = best_weighted_point(cons, mu)
+    res = _result(g, mu, alloc, "closed-form-r2t34", cons)
     # the construct must bind the relay-decoding constraints; otherwise
     # the cell was misjudged (e.g. borderline floats) and the numeric
     # path should decide
+    rates = res.rates
     tol1 = 1e-9 * (1.0 + cons.j1)
     tol5 = 1e-9 * (1.0 + cons.j5)
     if abs(rates.r1 - cons.j1) > tol1 or abs(rates.r1 + rates.r2 - cons.j5) > tol5:
         return None
-    return SolveResult(
-        allocation=alloc,
-        rates=rates,
-        assignment=_infer_assignment(g, alloc, rates),
-        weighted_sum=rates.weighted_sum(mu),
-        diagnostics=_recover_duals(g, mu, alloc, cons, rates),
-        mu=mu,
-        method="closed-form-r2t34",
-    )
+    return res
 
 
-def _certify(g: LinkGains, mu: float, res: SolveResult) -> bool:
+def _certify(obj: _Objective, res: SolveResult) -> bool:
     """Quick optimality screen for a closed-form candidate.
 
     Polls ascent directions around the candidate on the relay-budget
@@ -660,7 +617,6 @@ def _certify(g: LinkGains, mu: float, res: SolveResult) -> bool:
     weak), so an improvable candidate is discarded and the numeric path
     decides.
     """
-    obj = _Objective(g, mu)
     alloc = res.allocation
     x = (alloc.alpha1, alloc.alpha2, alloc.pw1, alloc.pw2)
     _, _, found = _poll(obj, x, obj.value(x))
@@ -690,14 +646,14 @@ def solve(g: LinkGains, mu: float, method: str = "auto") -> SolveResult:
     if method not in ("auto", "numeric"):
         raise ValidationError(f"method must be 'auto' or 'numeric', got {method!r}")
     if g.p == 0.0:
-        return _trivial_result(g, mu)
+        return _result(g, mu, PowerAllocation(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), "trivial")
+    obj = _Objective(g, mu)
     if method == "auto" and mu > 0.5:
         reg = classify(g)
         if reg.side_condition_holds and reg.cell in (("R2", "T3"), ("R2", "T4")):
             candidate = _closed_form_r2t34(g, mu)
-            if candidate is not None and _certify(g, mu, candidate):
+            if candidate is not None and _certify(obj, candidate):
                 return candidate
-    obj = _Objective(g, mu)
     x, _ = _optimize(obj)
     return _finalize(obj, g, mu, x, "numeric")
 
@@ -753,17 +709,7 @@ def solve_r2t5(g: LinkGains, mu: float) -> SolveResult:
         alpha1=0.0, beta1=p, alpha2=alpha2, beta2=p - alpha2,
         pw1=0.0, pw2=pw2, beta3=beta3,
     )
-    cons = compute_constraints(g, alloc)
-    rates = best_weighted_point(cons, mu)
-    return SolveResult(
-        allocation=alloc,
-        rates=rates,
-        assignment=_infer_assignment(g, alloc, rates),
-        weighted_sum=rates.weighted_sum(mu),
-        diagnostics=_recover_duals(g, mu, alloc, cons, rates),
-        mu=mu,
-        method="closed-form-r2t5",
-    )
+    return _result(g, mu, alloc, "closed-form-r2t5")
 
 
 def min_relay_power(g: LinkGains) -> float:

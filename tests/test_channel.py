@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from twrc import (
     LinkGains,
     ValidationError,
     gains_from_geometry,
+    solve,
     validate_gains,
     validate_geometry,
 )
@@ -65,6 +67,23 @@ class TestLinkGainsValidation:
         data["p"] = "one"
         with pytest.raises(ValidationError, match="numbers"):
             LinkGains.from_dict(data)
+
+    @pytest.mark.parametrize("name", GAIN_FIELDS + ("p",))
+    @pytest.mark.parametrize("bad", ["0.5", None, 1j])
+    def test_rejects_non_numeric_field_naming_it(self, name, bad):
+        values = {field: 0.5 for field in GAIN_FIELDS + ("p",)}
+        values[name] = bad
+        with pytest.raises(ValidationError, match=rf"\b{name} must be a number"):
+            validate_gains(LinkGains(**values))
+
+    def test_solve_rejects_string_gain(self):
+        g = LinkGains(g12="0.5", g21=0.5, g1r=0.5, gr1=0.5, g2r=0.5, gr2=0.5, p=1.0)
+        with pytest.raises(ValidationError, match="g12"):
+            solve(g, 0.5)
+
+    def test_accepts_numpy_scalars(self):
+        g = LinkGains(**{name: np.float64(0.5) for name in GAIN_FIELDS}, p=np.float32(1.0))
+        assert validate_gains(g) is g
 
 
 class TestGeometry:
@@ -128,6 +147,26 @@ class TestGeometry:
     def test_geometry_from_dict_rejects_bad_point(self):
         with pytest.raises(ValidationError, match="relay"):
             Geometry.from_dict({"relay": [1.0]})
+
+    @pytest.mark.parametrize("data", [{"user1": ["a", 0]}, {"relay": [0, None]},
+                                      {"gamma1": None}, {"gamma2": "steep"}])
+    def test_geometry_from_dict_rejects_non_numeric(self, data):
+        with pytest.raises(ValidationError, match="numbers"):
+            Geometry.from_dict(data)
+
+    @pytest.mark.parametrize("geom, name", [(Geometry(gamma1="2"), "gamma1"),
+                                            (Geometry(user2=("20", 0.0)), "user2"),
+                                            (Geometry(relay=None), "relay")])
+    def test_non_numeric_geometry_rejected(self, geom, name):
+        with pytest.raises(ValidationError, match=name):
+            validate_geometry(geom)
+        with pytest.raises(ValidationError, match=name):
+            gains_from_geometry(geom)
+
+    @pytest.mark.parametrize("p", ["1", None])
+    def test_rejects_non_numeric_power(self, p):
+        with pytest.raises(ValidationError, match="p"):
+            gains_from_geometry(MAP_GEOMETRY, p=p)
 
 
 @given(

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +12,15 @@ from twrc import GAIN_FIELDS, Geometry
 from helpers import R2T3_GAINS, R3T5_GAINS
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*argv, env_extra=None):
+    """Run ``python -m twrc`` on this checkout's ``src``, whatever
+    ``PYTHONPATH`` or installed copy the parent process has."""
     env = dict(os.environ)
     env.pop("TWRC_GRID_CAP", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -75,6 +82,14 @@ class TestClassify:
         assert payload["regime"]["r"] == "R2"
         assert payload["regime"]["t"] == "T3"
         assert payload["assignment"] == {"user1": "Ind", "user2": "Ind"}
+
+    def test_non_numeric_geometry_file_is_invalid_input(self, tmp_path):
+        path = tmp_path / "geom.json"
+        path.write_text(json.dumps({"user1": ["a", 0]}))
+        proc = run_cli("classify", "--geometry", str(path))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "numbers" in proc.stderr
 
     def test_two_sources_rejected(self, tmp_path):
         path = tmp_path / "gains.json"
@@ -252,6 +267,14 @@ class TestMap:
         proc = run_cli("map", "--resolution", "1")
         assert proc.returncode == 2
         assert "resolution" in proc.stderr
+
+    def test_non_numeric_geometry_file_is_invalid_input(self, tmp_path):
+        path = tmp_path / "geom.json"
+        path.write_text(json.dumps({"gamma1": None}))
+        proc = run_cli("map", "--geometry", str(path), "--resolution", "2")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "numbers" in proc.stderr
 
 
 class TestRelayPower:

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twrc import (
@@ -213,6 +213,66 @@ class TestMinRelayPower:
                 num = solve(g, 0.75, method="numeric")
                 assert auto.weighted_sum >= num.weighted_sum - 1e-9
                 assert auto.weighted_sum <= num.weighted_sum + 1e-6
+
+
+_DECADES = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e)
+_EDGE_OR_INSIDE = st.sampled_from((0.0, 1.0)) | st.floats(min_value=0.0, max_value=1.0)
+
+
+def _ulps(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else 0.0)
+    return x
+
+
+@settings(max_examples=300)
+@given(g21=_DECADES, g2r=_DECADES, g12=_DECADES,
+       p=st.floats(min_value=-6.0, max_value=4.0).map(lambda e: 10.0 ** e),
+       u=_EDGE_OR_INSIDE, v=_EDGE_OR_INSIDE,
+       w=st.sampled_from((0.0,)) | st.floats(min_value=0.0, max_value=10.0),
+       t4=st.booleans(), nudge1=st.integers(-2, 2), nudge2=st.integers(-2, 2))
+def test_min_relay_power_covers_every_gain_set_solve_hands_it(
+        g21, g2r, g12, p, u, v, w, t4, nudge1, nudge2):
+    # solve's (R2,T3)/(R2,T4) shortcut relies on this: whatever classify puts
+    # there with the side condition, min_relay_power accepts. u, v in {0, 1}
+    # and w = 0 put the relay gains and g1r on a cell threshold or on the
+    # side condition's equality, and the nudges step a few ulps either way.
+    direct2, beam2, direct1 = g21 ** 2, g2r ** 2, g12 ** 2
+    relay1 = direct2 + u * beam2
+    scale = 1.0 + relay1 * p
+    beam1 = direct1 * (scale - 1.0) * (1.0 + w)
+    lo, hi = ((direct1 + beam1, (direct1 + beam1) * scale) if t4
+              else (direct1 * scale, direct1 + beam1))
+    relay2 = lo + v * (hi - lo)
+    g = LinkGains(g12=g12, g21=g21, g1r=math.sqrt(beam1), gr1=_ulps(math.sqrt(relay1), nudge1),
+                  g2r=g2r, gr2=_ulps(math.sqrt(relay2), nudge2), p=p)
+    reg = classify(g)
+    assume(reg.side_condition_holds and reg.cell in (("R2", "T3"), ("R2", "T4")))
+    beta3 = min_relay_power(g)
+    assert 0.0 <= beta3 < math.inf
+
+
+_ZERO_BUDGET = LinkGains(g12=0.5, g21=0.5, g1r=0.5, gr1=0.5, g2r=0.5, gr2=0.5, p=0.0)
+_CORNER_TIE = LinkGains(g12=2.0, g21=2.0, g1r=2.0, gr1=1.0, g2r=2.0, gr2=1.0, p=1.0)
+
+
+@pytest.mark.parametrize("run, g, mu, method", [
+    (solve, _ZERO_BUDGET, 0.5, "trivial"),
+    (solve, _ZERO_BUDGET, 0.75, "trivial"),
+    (solve, R2T3_GAINS, 0.75, "closed-form-r2t34"),
+    (solve_r2t5, R2T5_GAINS, 0.75, "closed-form-r2t5"),
+    (solve, R3T5_GAINS, 0.75, "numeric"),
+    (solve, R3T5_GAINS, 0.5, "numeric"),
+    (solve, _CORNER_TIE, 0.5, "numeric"),
+    (solve, R2T3_GAINS, 0.25, "numeric"),
+])
+def test_every_path_reports_its_allocations_best_corner(run, g, mu, method):
+    res = run(g, mu)
+    assert res.method == method
+    assert res.rates == best_weighted_point(compute_constraints(g, res.allocation), mu)
+    assert res.weighted_sum == res.rates.weighted_sum(mu)
+    assert res.ambiguous == (res.alternate_rates is not None)
+    assert res.ambiguous == (g is _CORNER_TIE)
 
 
 class TestBoundaryTrace:
