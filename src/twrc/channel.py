@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import CoincidentNodesError, ValidationError
+from .errors import CoincidentNodesError, ValidationError, check_number
 
 GAIN_FIELDS = ("g12", "g21", "g1r", "gr1", "g2r", "gr2")
+_GAIN_LABELS = tuple((name, f"gain {name}") for name in GAIN_FIELDS) + (("p", "power budget p"),)
 
 
 @dataclass(frozen=True)
@@ -65,14 +66,19 @@ class LinkGains:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinkGains":
-        missing = [k for k in GAIN_FIELDS + ("p",) if k not in data]
-        if missing:
-            raise ValidationError(f"gains object is missing keys: {', '.join(missing)}")
-        try:
-            values = {k: float(data[k]) for k in GAIN_FIELDS + ("p",)}
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"gains values must be numbers: {exc}") from None
-        return validate_gains(cls(**values))
+        return validate_gains(cls(**numbers_from_dict("gains", data, GAIN_FIELDS + ("p",))))
+
+
+def numbers_from_dict(what: str, data: dict, keys: tuple[str, ...]) -> dict:
+    """``float(data[k])`` for each key of a parsed JSON object, or
+    :class:`ValidationError` naming the missing keys or the bad value."""
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ValidationError(f"{what} object is missing keys: {', '.join(missing)}")
+    try:
+        return {k: float(data[k]) for k in keys}
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} values must be numbers: {exc}") from None
 
 
 def validate_gains(g: LinkGains) -> LinkGains:
@@ -81,19 +87,8 @@ def validate_gains(g: LinkGains) -> LinkGains:
     Returns the input unchanged when valid so calls can be chained.
     Raises :class:`ValidationError` naming the offending field otherwise.
     """
-    for name in GAIN_FIELDS + ("p",):
-        value = getattr(g, name)
-        try:
-            if not math.isfinite(value):
-                problem = "be finite"
-            elif value < 0:
-                problem = "be nonnegative"
-            else:
-                continue
-        except TypeError:
-            problem = "be a number"
-        field = "power budget p" if name == "p" else f"gain {name}"
-        raise ValidationError(f"{field} must {problem}, got {value!r}")
+    for name, label in _GAIN_LABELS:
+        check_number(label, getattr(g, name), 0.0)
     return g
 
 
@@ -134,23 +129,22 @@ class Geometry:
 
 
 def validate_geometry(geom: Geometry) -> Geometry:
-    """Check coordinates are finite numbers and exponents positive."""
-    try:
-        for name in ("user1", "user2", "relay"):
-            point = getattr(geom, name)
-            if not all(math.isfinite(v) for v in point):
-                raise ValidationError(f"position {name} must have finite coordinates, got {point!r}")
-        for name in ("gamma1", "gamma2"):
-            value = getattr(geom, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValidationError(f"path-loss exponent {name} must be positive, got {value!r}")
-    except TypeError as exc:
-        raise ValidationError(f"geometry {name} must be numeric: {exc}") from None
+    """Check positions are (x, y) pairs of finite numbers and exponents positive."""
+    for name in ("user1", "user2", "relay"):
+        check_point(name, getattr(geom, name))
+    for name in ("gamma1", "gamma2"):
+        check_number(name, getattr(geom, name), 0.0, low_open=True)
     return geom
 
 
-def _distance(p1: tuple[float, float], p2: tuple[float, float]) -> float:
-    return math.hypot(p1[0] - p2[0], p1[1] - p2[1])
+def check_point(name: str, point) -> tuple[float, float]:
+    """``point`` as two floats if it is an (x, y) pair of finite numbers, else
+    :class:`ValidationError` naming ``name``."""
+    try:
+        x, y = point
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be an (x, y) pair, got {point!r}") from None
+    return check_number(name, x), check_number(name, y)
 
 
 def _path_loss(distance: float, gamma: float) -> float:
@@ -169,29 +163,15 @@ def gains_from_geometry(geom: Geometry, p: float = 1.0) -> LinkGains:
     the path-loss law diverges at zero distance.
     """
     validate_geometry(geom)
-    try:
-        valid_p = math.isfinite(p) and p >= 0
-    except TypeError:
-        valid_p = False
-    if not valid_p:
-        raise ValidationError(f"power budget p must be finite and nonnegative, got {p!r}")
-    pairs = (
-        ("user1", "user2", geom.user1, geom.user2),
-        ("user1", "relay", geom.user1, geom.relay),
-        ("user2", "relay", geom.user2, geom.relay),
-    )
-    distances = {}
-    for name_a, name_b, pos_a, pos_b in pairs:
-        dist = _distance(pos_a, pos_b)
+    check_number("power budget p", p, 0.0)
+    distances = []
+    for name_a, name_b in (("user1", "user2"), ("user1", "relay"), ("user2", "relay")):
+        pos_a, pos_b = getattr(geom, name_a), getattr(geom, name_b)
+        dist = math.hypot(pos_a[0] - pos_b[0], pos_a[1] - pos_b[1])
         if dist == 0.0:
-            raise CoincidentNodesError(
-                f"nodes {name_a} and {name_b} coincide at {tuple(pos_a)}"
-            )
-        distances[(name_a, name_b)] = dist
-
-    d12 = distances[("user1", "user2")]
-    d1r = distances[("user1", "relay")]
-    d2r = distances[("user2", "relay")]
+            raise CoincidentNodesError(f"nodes {name_a} and {name_b} coincide at {tuple(pos_a)}")
+        distances.append(dist)
+    d12, d1r, d2r = distances
     return LinkGains(
         gr1=_path_loss(d1r, geom.gamma1),
         g2r=_path_loss(d2r, geom.gamma1),

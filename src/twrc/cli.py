@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Optional
 
 from .channel import GAIN_FIELDS, Geometry, LinkGains, gains_from_geometry
-from .errors import GridCapError, TwrcError, ValidationError, WrongRegimeError
+from .errors import GridCapError, TwrcError, ValidationError, WrongRegimeError, check_number
 from .optimizer import check_full_power, min_relay_power, solve
-from .oracle import SchemeRestriction, grid_region
+from .oracle import grid_region
 from .regimes import classify
 from .sweeps import (
     DEFAULT_MAP_BOUNDS,
@@ -74,28 +73,20 @@ def _resolve_gains(args: argparse.Namespace) -> LinkGains:
         if args.p is not None:
             data = dict(data, p=args.p)
         return LinkGains.from_dict(data)
+    p = args.p if args.p is not None else 1.0
     if inline_given:
         missing = [name for name in GAIN_FIELDS if inline[name] is None]
         if missing:
             flags = ", ".join(f"--{name}" for name in missing)
             raise ValidationError(f"missing inline gain flags: {flags}")
-        p = args.p if args.p is not None else 1.0
         return LinkGains(p=p, **{k: float(v) for k, v in inline.items()})
-    geom = Geometry.from_dict(_load_json(args.geometry, "geometry"))
-    p = args.p if args.p is not None else 1.0
-    return gains_from_geometry(geom, p=p)
+    return gains_from_geometry(_resolve_geometry(args), p=p)
 
 
 def _resolve_geometry(args: argparse.Namespace) -> Geometry:
     if getattr(args, "geometry", None) is not None:
         return Geometry.from_dict(_load_json(args.geometry, "geometry"))
     return Geometry()
-
-
-def _check_mu(mu: float) -> float:
-    if not (math.isfinite(mu) and 0.0 <= mu <= 1.0):
-        raise ValidationError(f"--mu must lie in [0, 1], got {mu!r}")
-    return mu
 
 
 def _emit(text: str, out: Optional[str], summary: Optional[str] = None) -> None:
@@ -117,7 +108,7 @@ def _json_text(obj) -> str:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     g = _resolve_gains(args)
-    mu = _check_mu(args.mu)
+    mu = check_number("--mu", args.mu, 0.0, 1.0)
     reg = classify(g)
     decision, source = technique_labels(g, reg, mu)
     payload: dict = {"regime": reg.to_dict(), "mu": mu,
@@ -131,12 +122,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_region(args: argparse.Namespace) -> int:
     g = _resolve_gains(args)
-    try:
-        restriction = SchemeRestriction(args.restrict)
-    except ValueError:
-        names = ", ".join(r.value for r in SchemeRestriction)
-        raise ValidationError(f"unknown restriction {args.restrict!r}; expected one of {names}")
-    hull = grid_region(g, step=args.step, restriction=restriction)
+    hull = grid_region(g, step=args.step, restriction=args.restrict)
     summary = f"vertices={len(hull.vertices)} max_sum_rate={_fmt(hull.max_sum_rate)}"
     if args.format == "json":
         payload = {
@@ -154,7 +140,7 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     g = _resolve_gains(args)
-    mu = _check_mu(args.mu)
+    mu = check_number("--mu", args.mu, 0.0, 1.0)
     res = solve(g, mu, method=args.method)
     payload = res.to_dict()
     payload["regime"] = classify(g).to_dict()
@@ -171,7 +157,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_map(args: argparse.Namespace) -> int:
     geom = _resolve_geometry(args)
-    mu = _check_mu(args.mu)
+    mu = check_number("--mu", args.mu, 0.0, 1.0)
     p = args.p if args.p is not None else 1.0
     bounds = (args.xmin, args.xmax, args.ymin, args.ymax)
     cells = regime_map(geom, bounds=bounds, resolution=args.resolution, mu=mu, p=p)
@@ -204,22 +190,23 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 def cmd_relay_power(args: argparse.Namespace) -> int:
     geom = _resolve_geometry(args)
-    mu = _check_mu(args.mu)
+    mu = check_number("--mu", args.mu, 0.0, 1.0)
     p = args.p if args.p is not None else 1.0
-    start = (args.x0, args.y0) if args.x0 is not None or args.y0 is not None else None
-    end = (args.x1, args.y1) if args.x1 is not None or args.y1 is not None else None
-    if start is not None and (args.x0 is None or args.y0 is None):
-        raise ValidationError("give both --x0 and --y0 for the segment start")
-    if end is not None and (args.x1 is None or args.y1 is None):
-        raise ValidationError("give both --x1 and --y1 for the segment end")
-    sx, sy = start if start is not None else geom.user1
-    ex, ey = end if end is not None else geom.user2
-    for label, (vx, vy) in (("start", (sx, sy)), ("end", (ex, ey))):
-        if not (args.xmin <= vx <= args.xmax and args.ymin <= vy <= args.ymax):
+    segment = []
+    for label, xflag, yflag, default in (("start", "x0", "y0", geom.user1),
+                                         ("end", "x1", "y1", geom.user2)):
+        x, y = getattr(args, xflag), getattr(args, yflag)
+        if x is None and y is None:
+            x, y = default
+        elif x is None or y is None:
+            raise ValidationError(f"give both --{xflag} and --{yflag} for the segment {label}")
+        if not (args.xmin <= x <= args.xmax and args.ymin <= y <= args.ymax):
             raise ValidationError(
-                f"segment {label} ({vx}, {vy}) lies outside the bounds "
+                f"segment {label} ({x}, {y}) lies outside the bounds "
                 f"[{args.xmin}, {args.xmax}] x [{args.ymin}, {args.ymax}]"
             )
+        segment.append((x, y))
+    start, end = segment
     points = relay_power_profile(
         geom, samples=args.samples, start=start, end=end, mu=mu, p=p)
     fractions = [pt.beta3 / p for pt in points] if p > 0 else [0.0 for _ in points]

@@ -6,6 +6,9 @@ can catch one base class.  Input-validation problems additionally derive from
 working.
 """
 
+import math
+import operator
+
 
 class TwrcError(Exception):
     """Base class for all errors raised by this package."""
@@ -13,6 +16,32 @@ class TwrcError(Exception):
 
 class ValidationError(TwrcError, ValueError):
     """Invalid user input: bad gains, bad geometry, bad allocation, bad args."""
+
+
+def check_number(name: str, value, low: float = -math.inf, high: float = math.inf,
+                 low_open: bool = False) -> float:
+    """``value`` as a float if it is a finite real in ``[low, high]`` (``(low, high]``
+    with ``low_open``), numpy scalars included, else :class:`ValidationError` naming
+    ``name``. The message is built only on failure: hot paths call this per field."""
+    try:
+        if math.isfinite(value) and (value > low if low_open else value >= low) and value <= high:
+            return float(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
+    interval = f"{'(' if low_open else '['}{low:g}, {high:g}]"
+    raise ValidationError(f"{name} must be a finite number in {interval}, got {value!r}")
+
+
+def check_count(name: str, value, low: int) -> int:
+    """``value`` as an int if it is an integer >= ``low``; numpy integers
+    pass, floats do not. Raises :class:`ValidationError` naming ``name``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    return count
 
 
 class CoincidentNodesError(ValidationError):

@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .channel import LinkGains, validate_gains
-from .errors import GridCapError, ValidationError
+from .errors import GridCapError, ValidationError, check_count, check_number
 from .rate_region import PowerAllocation, RateKernel, RatePoint, capacity, pentagon_corner, validate_mu
 
 DEFAULT_GRID_CAP = 10 ** 8
@@ -305,11 +305,10 @@ def _chain_indices(r1: np.ndarray, r2: np.ndarray) -> list[int]:
 
 
 def _validate_step(step: float, p: float) -> float:
-    if not (isinstance(step, (int, float)) and math.isfinite(step) and step > 0.0):
-        raise ValidationError(f"step must be a positive finite number, got {step!r}")
+    step = check_number("step", step, 0.0, low_open=True)
     if p > 0.0 and step > p:
         raise ValidationError(f"step {step!r} exceeds the power budget {p!r}")
-    return float(step)
+    return step
 
 
 def _direct_hull(g: LinkGains, step: float) -> RegionHull:
@@ -345,7 +344,11 @@ def grid_region(g: LinkGains, step: float = 0.05,
     environment variable when set.
     """
     validate_gains(g)
-    restriction = SchemeRestriction(restriction)
+    try:
+        restriction = SchemeRestriction(restriction)
+    except ValueError:
+        names = ", ".join(r.value for r in SchemeRestriction)
+        raise ValidationError(f"unknown restriction {restriction!r}; expected one of {names}") from None
     step = _validate_step(step, g.p)
     p = g.p
     if restriction == SchemeRestriction.DIRECT_ONLY:
@@ -418,11 +421,11 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025) -> list[f
     ``mu >= 1/2``, as in :func:`~twrc.rate_region.best_weighted_point`).
     The rest of the composite lattice cannot raise the maximum:
 
-    - every point with less bin power (the ``beta3 = 0`` face) is
-      dominated by the face point with the same ``(alpha, pw)``, since
-      raising ``beta3`` raises only the user-side bounds ``j2`` and
-      ``j4``; the bin-only line and the mixed time-share planes are
-      points of the face itself;
+    - every point with less bin power (the ``beta3 = 0`` face, the
+      bin-only line below ``beta3 = p``) is dominated by the face point
+      with the same ``(alpha, pw)``, since raising ``beta3`` raises only
+      the user-side bounds ``j2`` and ``j4``; the mixed time-share planes
+      and the bin-only point ``beta3 = p`` are points of the face itself;
     - at the favored corner the weighted sum never falls when any bound
       rises: if ``r1`` gains d, ``r2`` loses at most d, and ``mu >= 1/2``
       (symmetrically for user 2);
@@ -443,6 +446,8 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025) -> list[f
     """
     validate_gains(g)
     step = _validate_step(step, g.p)
+    if not isinstance(mus, Iterable):
+        raise ValidationError(f"mus must be an iterable of weights, got {mus!r}")
     mus = [validate_mu(mu) for mu in mus]
     p = g.p
     levels = _levels(p, step)
@@ -471,10 +476,8 @@ def local_grid_best(g: LinkGains, mu: float, center: PowerAllocation,
     """
     validate_gains(g)
     mu = validate_mu(mu)
-    if not (math.isfinite(radius) and radius >= 0.0):
-        raise ValidationError(f"radius must be finite and nonnegative, got {radius!r}")
-    if not (isinstance(points_per_axis, int) and points_per_axis >= 1):
-        raise ValidationError(f"points_per_axis must be an integer >= 1, got {points_per_axis!r}")
+    check_number("radius", radius, 0.0)
+    points_per_axis = check_count("points_per_axis", points_per_axis, 1)
     _check_cap(points_per_axis ** 5)
     p = g.p
     if p <= 0.0:
@@ -552,16 +555,11 @@ def audit_grid_best(g: LinkGains, mu: float, step: float) -> float:
 _HULL_FP_GUARD = 1e-12
 
 
-def _check_tolerance(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0.0):
-        raise ValidationError(f"{name} must be finite and nonnegative, got {value!r}")
-
-
 def hull_contains(outer: RegionHull, inner: RegionHull, slack: float = 0.0) -> bool:
     """True when every inner vertex lies in the outer region grown by
     ``slack``. Both hulls must come from the same gains to be
     comparable."""
-    _check_tolerance("slack", slack)
+    check_number("slack", slack, 0.0)
     xmax = outer.r1_max
     for v in inner.vertices:
         if v.r1 > xmax + slack + _HULL_FP_GUARD:
@@ -575,7 +573,7 @@ def hull_contains(outer: RegionHull, inner: RegionHull, slack: float = 0.0) -> b
 def hull_exceeds(outer: RegionHull, inner: RegionHull, margin: float) -> bool:
     """True when some outer vertex beats the inner boundary by at least
     ``margin`` bits in the r2 direction (0 beyond the inner r1 range)."""
-    _check_tolerance("margin", margin)
+    check_number("margin", margin, 0.0)
     for v in outer.vertices:
         bound = float(inner.envelope([v.r1])[0])
         if v.r2 >= bound + margin:

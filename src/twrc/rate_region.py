@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkGains
-from .errors import InfeasibleAllocationError, ValidationError
+from .channel import LinkGains, numbers_from_dict, validate_gains
+from .errors import InfeasibleAllocationError, check_number
 
 # Absolute slack (scaled by max(1, p)) when checking power budgets, so
 # allocations produced by float arithmetic on the budget boundary pass.
@@ -79,10 +79,7 @@ class PowerAllocation:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PowerAllocation":
-        missing = [k for k in ALLOCATION_FIELDS if k not in data]
-        if missing:
-            raise ValidationError(f"allocation object is missing keys: {', '.join(missing)}")
-        return cls(**{k: float(data[k]) for k in ALLOCATION_FIELDS})
+        return cls(**numbers_from_dict("allocation", data, ALLOCATION_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -115,17 +112,14 @@ class RatePoint:
 
 def capacity(x: float) -> float:
     """Gaussian capacity ``log2(1 + x)`` in bits per channel use."""
-    if x < 0:
-        raise ValidationError(f"capacity argument must be nonnegative, got {x!r}")
+    check_number("capacity argument x", x, 0.0)
     return math.log2(1.0 + x)
 
 
 def validate_mu(mu: float) -> float:
     """The rate weight ``mu`` as a float; raises :class:`ValidationError`
     unless it is a finite number in [0, 1]."""
-    if not (isinstance(mu, (int, float)) and math.isfinite(mu) and 0.0 <= mu <= 1.0):
-        raise ValidationError(f"mu must lie in [0, 1], got {mu!r}")
-    return float(mu)
+    return check_number("mu", mu, 0.0, 1.0)
 
 
 def validate_allocation(a: PowerAllocation, p: float) -> PowerAllocation:
@@ -134,12 +128,11 @@ def validate_allocation(a: PowerAllocation, p: float) -> PowerAllocation:
     Raises :class:`InfeasibleAllocationError` naming the violated
     constraint. Budget checks allow slack ``BUDGET_SLACK * max(1, p)``.
     """
+    check_number("power budget p", p, 0.0)
     for name in ALLOCATION_FIELDS:
-        value = getattr(a, name)
-        if not math.isfinite(value) or value < 0:
-            raise InfeasibleAllocationError(
-                f"allocation field {name} must be finite and nonnegative, got {value!r}"
-            )
+        value = check_number(name, getattr(a, name))
+        if value < 0:
+            raise InfeasibleAllocationError(f"allocation field {name} must be >= 0, got {value!r}")
     slack = BUDGET_SLACK * max(1.0, p)
     if a.alpha1 + a.beta1 > p + slack:
         raise InfeasibleAllocationError(
@@ -266,6 +259,7 @@ def compute_constraints(g: LinkGains, a: PowerAllocation) -> RateConstraints:
     plus the coherent cross term ``2 * g * g * sqrt(pw_i * alpha_i)`` and
     the relay's forwarded power (see :class:`RateKernel`).
     """
+    validate_gains(g)
     validate_allocation(a, g.p)
     return RateConstraints(*RateKernel(g).bounds(*allocation_inputs(a)))
 
@@ -300,7 +294,6 @@ def best_weighted_point(c: RateConstraints, mu: float) -> RatePoint:
     """
     mu = validate_mu(mu)
     for name in ("j1", "j2", "j3", "j4", "j5"):
-        if getattr(c, name) < 0:
-            raise ValidationError(f"rate constraint {name} must be nonnegative, got {getattr(c, name)!r}")
+        check_number(name, getattr(c, name), 0.0)
     r1, r2 = pentagon_corner(*c.as_tuple(), mu >= 0.5)
     return RatePoint(r1=r1, r2=r2)

@@ -201,6 +201,7 @@ def technique_lookup(
 
 def assignment_for_gains(g: LinkGains, mu: float) -> TechniqueDecision:
     """Classify ``g`` (and its swap when needed) and look up techniques."""
+    mu = validate_mu(mu)
     reg = classify(g)
     swapped_reg = classify(g.swapped()) if mu <= 0.5 else None
     return technique_lookup(reg, mu, swapped_reg)

@@ -4,14 +4,14 @@ and the required-relay-power profile along a segment."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .channel import Geometry, LinkGains, gains_from_geometry, validate_geometry
-from .errors import CoincidentNodesError, SideConditionError, ValidationError, WrongRegimeError
+from .channel import Geometry, LinkGains, check_point, gains_from_geometry, validate_geometry
+from .errors import (CoincidentNodesError, SideConditionError, ValidationError, WrongRegimeError,
+                     check_count, check_number)
 from .optimizer import ACTIVITY_THRESHOLD, min_relay_power, solve
 from .rate_region import validate_mu
 from .regimes import Regime, SchemeAssignment, TechniqueDecision, classify, technique_lookup
@@ -59,13 +59,14 @@ def regime_map(geom_template: Geometry = Geometry(),
     included. Cells are emitted row by row (y outer, x inner).
     """
     validate_geometry(geom_template)
-    if not (isinstance(resolution, int) and resolution >= 2):
-        raise ValidationError(f"resolution must be an integer >= 2, got {resolution!r}")
-    xmin, xmax, ymin, ymax = (float(b) for b in bounds)
-    if not (math.isfinite(xmin) and math.isfinite(xmax) and xmin < xmax):
-        raise ValidationError(f"x bounds must satisfy xmin < xmax, got {xmin!r}, {xmax!r}")
-    if not (math.isfinite(ymin) and math.isfinite(ymax) and ymin < ymax):
-        raise ValidationError(f"y bounds must satisfy ymin < ymax, got {ymin!r}, {ymax!r}")
+    resolution = check_count("resolution", resolution, 2)
+    try:
+        xmin, xmax, ymin, ymax = bounds
+    except (TypeError, ValueError):
+        raise ValidationError(f"bounds must be (xmin, xmax, ymin, ymax), got {bounds!r}") from None
+    xmin, ymin = check_number("x bounds: xmin", xmin), check_number("y bounds: ymin", ymin)
+    xmax = check_number("x bounds: xmax", xmax, xmin, low_open=True)
+    ymax = check_number("y bounds: ymax", ymax, ymin, low_open=True)
     mu = validate_mu(mu)
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)
@@ -110,14 +111,11 @@ def relay_power_profile(geom_template: Geometry = Geometry(),
     otherwise.
     """
     validate_geometry(geom_template)
-    if not (isinstance(samples, int) and samples >= 1):
-        raise ValidationError(f"samples must be a positive integer, got {samples!r}")
+    samples = check_count("samples", samples, 1)
     mu = validate_mu(mu)
-    sx, sy = start if start is not None else geom_template.user1
-    ex, ey = end if end is not None else geom_template.user2
-    for name, value in (("start", (sx, sy)), ("end", (ex, ey))):
-        if not (math.isfinite(value[0]) and math.isfinite(value[1])):
-            raise ValidationError(f"segment {name} must be finite, got {value!r}")
+    check_number("power budget p", p, 0.0)
+    sx, sy = check_point("start", geom_template.user1 if start is None else start)
+    ex, ey = check_point("end", geom_template.user2 if end is None else end)
     points: list[ProfilePoint] = []
     act = ACTIVITY_THRESHOLD * p
     for k in range(samples):

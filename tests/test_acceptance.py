@@ -12,8 +12,6 @@ import math
 import random
 import time
 
-import pytest
-
 from twrc import (
     SchemeRestriction,
     TECHNIQUE_TABLE,

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from twrc import oracle, sweeps
 from twrc import (
-    Geometry,
     GridCapError,
     LinkGains,
     PowerAllocation,
