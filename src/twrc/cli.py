@@ -20,7 +20,7 @@ from typing import Optional
 
 from .channel import GAIN_FIELDS, Geometry, LinkGains, gains_from_geometry
 from .errors import GridCapError, TwrcError, ValidationError, WrongRegimeError, check_number
-from .optimizer import check_full_power, min_relay_power, solve
+from .optimizer import FULL_POWER_TOL, check_full_power, min_relay_power, solve
 from .oracle import grid_region
 from .regimes import classify
 from .sweeps import (
@@ -145,8 +145,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     payload = res.to_dict()
     payload["regime"] = classify(g).to_dict()
     payload["full_power_ok"] = check_full_power(g, res)
-    tol = 1e-8 * max(1.0, g.p)
-    payload["relay_full_power"] = abs(res.allocation.relay_total - g.p) <= tol
+    payload["relay_full_power"] = abs(res.allocation.relay_total - g.p) <= FULL_POWER_TOL * g.p
     try:
         payload["closed_form_beta3"] = min_relay_power(g)
     except WrongRegimeError:

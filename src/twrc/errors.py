@@ -28,6 +28,8 @@ def check_number(name: str, value, low: float = -math.inf, high: float = math.in
             return float(value)
     except TypeError:
         raise ValidationError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:  # an int too large for a float
+        pass
     interval = f"{'(' if low_open else '['}{low:g}, {high:g}]"
     raise ValidationError(f"{name} must be a finite number in {interval}, got {value!r}")
 

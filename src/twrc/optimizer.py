@@ -63,11 +63,14 @@ from .rate_region import (
     pentagon_corner,
     validate_mu,
 )
-from .regimes import SchemeAssignment, Technique, classify
+from .regimes import SchemeAssignment, Technique, classify, thresholds
 
 # A power component below this fraction of the budget counts as inactive
 # when labeling techniques and deciding relay full power.
 ACTIVITY_THRESHOLD = 1e-6
+
+# A node within this fraction of the budget runs at full power.
+FULL_POWER_TOL = 1e-8
 
 # Lexicographic nudge toward larger sum rate; breaks ties along flat
 # directions (mu = 0, 1) without affecting the reported weighted sum.
@@ -588,10 +591,9 @@ def _closed_form_r2t34(g: LinkGains, mu: float) -> Optional[SolveResult]:
     """Both users independent: full fresh power, minimal bin power.
 
     :func:`solve` calls this only in cells (R2,T3) and (R2,T4) with the
-    side condition, which lie inside :func:`min_relay_power`'s closed
-    ranges in the same float expressions (``x <= x * scale`` for
-    ``scale >= 1``; the side condition is ``g12**2 * scale <= g12**2 +
-    g1r**2``), so that call does not raise :class:`WrongRegimeError`.
+    side condition, and :func:`min_relay_power` reads the thresholds
+    :func:`classify` compares against, so that call does not raise
+    :class:`WrongRegimeError`.
     """
     p = g.p
     alloc = PowerAllocation(0.0, p, 0.0, p, 0.0, 0.0, min_relay_power(g))
@@ -670,35 +672,29 @@ def solve_r2t5(g: LinkGains, mu: float) -> SolveResult:
     this case's validity. Raises :class:`WrongRegimeError` when
     ``gr1**2`` falls outside ``[g21**2, g21**2 + g2r**2]``.
     """
-    validate_gains(g)
+    kernel, _, r_cuts, t_cuts = thresholds(g)
     mu = check_number("mu", mu, 0.5, 1.0, low_open=True)
     p = check_number("power budget p", g.p, 0.0, low_open=True)
-    relay1 = g.gr1 ** 2
-    relay2 = g.gr2 ** 2
-    direct2 = g.g21 ** 2
-    beam2 = g.g2r ** 2
-    direct1 = g.g12 ** 2
-    beam1 = g.g1r ** 2
-    if not direct2 <= relay1 <= direct2 + beam2:
+    relay1, relay2, beam2 = kernel.relay1, kernel.relay2, kernel.beam2
+    if not r_cuts[0] <= relay1 <= r_cuts[1]:
         reg = classify(g)
         raise WrongRegimeError(
             f"gains classify as ({reg.r_index},{reg.t_index}); this closed form "
             "needs gr1^2 in [g21^2, g21^2 + g2r^2]"
         )
-    beta3 = (relay1 - direct2) * p / beam2 if beam2 > 0.0 else 0.0
-    beta3 = min(beta3, p)
+    beta3 = min((relay1 - r_cuts[0]) * p / beam2, p) if beam2 > 0.0 else 0.0
     pw2 = max(p - beta3, 0.0)
     scale = 1.0 + relay1 * p
     # j4 = j5 - j1 reads relay2 * s**2 + b * s + c = 0 in s = sqrt(alpha2),
     # with c the equation's value at alpha2 = 0
-    c = (direct1 * p + beam1 * p) * scale - relay2 * p
+    c = (kernel.direct1 * p + kernel.beam1 * p) * scale - relay2 * p
     if c >= 0.0:
         raise NoRootError(
             f"j4 = j5 - j1 has no root in (0, p]: gr2^2 = {relay2!r} does not exceed "
-            f"(g12^2 + g1r^2) * (1 + gr1^2 * p) = {(direct1 + beam1) * scale!r}"
+            f"(g12^2 + g1r^2) * (1 + gr1^2 * p) = {t_cuts[3]!r}"
         )
     # c < 0 < relay2: exactly one positive root, in cancellation-free form
-    b = 2.0 * g.g12 * g.g1r * math.sqrt(pw2) * scale
+    b = kernel.cross2 * math.sqrt(pw2) * scale
     s = -2.0 * c / (b + math.sqrt(b * b - 4.0 * relay2 * c))
     alpha2 = min(s * s, p)  # the root lies in (0, p]; min absorbs rounding
     alloc = PowerAllocation(
@@ -711,35 +707,23 @@ def solve_r2t5(g: LinkGains, mu: float) -> SolveResult:
 def min_relay_power(g: LinkGains) -> float:
     """Minimum bin power when the relay only does independent coding.
 
-    Valid in cells (R2,T3) and (R2,T4), including their closed boundary:
-    ``g21**2 <= gr1**2 <= g21**2 + g2r**2`` and
-    ``g12**2 * s <= gr2**2 <= (g12**2 + g1r**2) * s`` with
-    ``s = 1 + gr1**2 * p``. Returns
+    Valid in cells (R2,T3) and (R2,T4) of :func:`~twrc.regimes.thresholds`,
+    including their closed boundary. Returns
     ``max((gr2**2 - g12**2 * s) * p / (g1r**2 * s), (gr1**2 - g21**2) * p / g2r**2)``
-    with each term floored at zero. Raises :class:`WrongRegimeError`
-    naming the actual cell otherwise.
+    with ``s = 1 + gr1**2 * p`` and each term floored at zero. Raises
+    :class:`WrongRegimeError` naming the actual cell otherwise.
     """
-    validate_gains(g)
-    p = g.p
-    relay1 = g.gr1 ** 2
-    relay2 = g.gr2 ** 2
-    direct2 = g.g21 ** 2
-    beam2 = g.g2r ** 2
-    direct1 = g.g12 ** 2
-    beam1 = g.g1r ** 2
-    scale = 1.0 + relay1 * p
-    in_r = direct2 <= relay1 <= direct2 + beam2
-    in_t = direct1 * scale <= relay2 <= (direct1 + beam1) * scale
-    if not (in_r and in_t):
+    kernel, scale, r_cuts, t_cuts = thresholds(g)
+    relay1, relay2 = kernel.relay1, kernel.relay2
+    if not (r_cuts[0] <= relay1 <= r_cuts[1] and t_cuts[1] <= relay2 <= t_cuts[3]):
         reg = classify(g)
         raise WrongRegimeError(
             f"gains classify as ({reg.r_index},{reg.t_index}); this formula covers "
             "(R2,T3) and (R2,T4) only"
         )
-    num1 = relay2 - direct1 * scale
-    term1 = num1 * p / (beam1 * scale) if num1 > 0.0 else 0.0
-    num2 = relay1 - direct2
-    term2 = num2 * p / beam2 if num2 > 0.0 else 0.0
+    p = g.p
+    term1 = (relay2 - t_cuts[1]) * p / (kernel.beam1 * scale) if relay2 > t_cuts[1] else 0.0
+    term2 = (relay1 - r_cuts[0]) * p / kernel.beam2 if relay1 > r_cuts[0] else 0.0
     return max(term1, term2)
 
 
@@ -748,7 +732,7 @@ def check_full_power(g: LinkGains, res: SolveResult) -> bool:
     whenever any coherent component is active (within 1e-8 * p)."""
     validate_gains(g)
     p = g.p
-    tol = 1e-8 * p
+    tol = FULL_POWER_TOL * p
     alloc = res.allocation
     users_ok = (abs(alloc.user1_total - p) <= tol
                 and abs(alloc.user2_total - p) <= tol)

@@ -312,17 +312,12 @@ def _validate_step(step: float, p: float) -> float:
 
 
 def _direct_hull(g: LinkGains, step: float) -> RegionHull:
-    r1c = capacity(g.g21 ** 2 * g.p)
-    r2c = capacity(g.g12 ** 2 * g.p)
-    points = [(0.0, r2c), (r1c, r2c), (r1c, 0.0)]
-    seen = set()
-    vertices = []
-    for pt in points:
-        if pt not in seen:
-            seen.add(pt)
-            vertices.append(RatePoint(r1=pt[0], r2=pt[1]))
+    kernel = RateKernel(g)
+    r1c, r2c = capacity(kernel.base2), capacity(kernel.base4)
+    corners = dict.fromkeys([(0.0, r2c), (r1c, r2c), (r1c, 0.0)])
+    vertices = tuple(RatePoint(r1=r1, r2=r2) for r1, r2 in corners)
     return RegionHull(
-        vertices=tuple(vertices),
+        vertices=vertices,
         step=step,
         restriction=SchemeRestriction.DIRECT_ONLY,
         sources=(None,) * len(vertices),
@@ -470,12 +465,15 @@ def local_grid_best(g: LinkGains, mu: float, center: PowerAllocation,
 
     Varies (alpha1, alpha2, pw1, pw2, beta3) within ``radius`` of the
     center, clipped to the feasible set. Used to probe whether a solver
-    point is locally beatable. ``radius`` must be finite and nonnegative
-    and ``points_per_axis`` a positive integer; the cap counts the
-    ``points_per_axis ** 5`` points of the box.
+    point is locally beatable. ``radius`` and the center's fields must be
+    finite, ``radius`` also nonnegative, and ``points_per_axis`` a
+    positive integer; the cap counts the ``points_per_axis ** 5`` points
+    of the box.
     """
     validate_gains(g)
     mu = validate_mu(mu)
+    for name, value in center.to_dict().items():
+        check_number(f"center {name}", value)
     check_number("radius", radius, 0.0)
     points_per_axis = check_count("points_per_axis", points_per_axis, 1)
     _check_cap(points_per_axis ** 5)

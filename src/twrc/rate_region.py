@@ -166,21 +166,25 @@ class RateKernel:
     either all floats, evaluated with :mod:`math`, or numpy arrays,
     evaluated elementwise with numpy.
 
-    The attributes are the gain products the bounds are built from;
-    derivative code (the SLSQP Jacobian, dual recovery) reads them too.
+    The attributes are the gain products the bounds are built from, and
+    the only place a gain is squared; derivative code (the SLSQP
+    Jacobian, dual recovery) and the regime thresholds read them too.
     """
 
-    __slots__ = ("relay1", "relay2", "beam1", "beam2", "cross1", "cross2", "base2", "base4")
+    __slots__ = ("relay1", "relay2", "beam1", "beam2", "direct1", "direct2",
+                 "cross1", "cross2", "base2", "base4")
 
     def __init__(self, g: LinkGains):
         self.relay1 = g.gr1 ** 2
         self.relay2 = g.gr2 ** 2
         self.beam1 = g.g1r ** 2
         self.beam2 = g.g2r ** 2
+        self.direct1 = g.g12 ** 2
+        self.direct2 = g.g21 ** 2
         self.cross1 = 2.0 * g.g21 * g.g2r
         self.cross2 = 2.0 * g.g12 * g.g1r
-        self.base2 = g.g21 ** 2 * g.p
-        self.base4 = g.g12 ** 2 * g.p
+        self.base2 = self.direct2 * g.p
+        self.base4 = self.direct1 * g.p
 
     def user_snrs(self, s1, s2, f1, f2):
         """Received SNR of user 1's message at user 2 and of user 2's at

@@ -19,6 +19,10 @@ The stored table applies to weights ``mu > 1/2`` (user 1 prioritized) and
 requires the side condition ``g12**2 * (1 + gr1**2 * p) <= g12**2 + g1r**2``,
 which orders the column thresholds. For ``mu < 1/2`` the table applies to
 the index-swapped gains with the two users' labels exchanged.
+
+:func:`thresholds` is the one place the cell boundaries are computed;
+:func:`classify` and the closed forms' range checks in
+:mod:`twrc.optimizer` read them.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Optional
 
 from .channel import LinkGains, validate_gains
 from .errors import SideConditionError, ValidationError
-from .rate_region import validate_mu
+from .rate_region import RateKernel, validate_mu
 
 R_LABELS = ("R1", "R2", "R3")
 T_LABELS = ("T1", "T2", "T3", "T4", "T5")
@@ -115,6 +119,24 @@ TECHNIQUE_TABLE: dict[tuple[str, str], tuple[Technique, Technique]] = {
 }
 
 
+def thresholds(g: LinkGains) -> tuple:
+    """``(RateKernel(g), scale, r_cuts, t_cuts)`` after validating ``g``:
+    ``scale = 1 + gr1**2 * p``, the upper ends of R1, R2 on ``gr1**2`` and
+    the upper ends of T1..T4 on ``gr2**2``."""
+    validate_gains(g)
+    k = RateKernel(g)
+    scale = 1.0 + k.relay1 * g.p
+    return (k, scale, (k.direct2, k.direct2 + k.beam2),
+            (k.direct1, k.direct1 * scale, k.direct1 + k.beam1, (k.direct1 + k.beam1) * scale))
+
+
+def _label(gain: float, cuts: tuple[float, ...], labels: tuple[str, ...]) -> str:
+    for cut, label in zip(cuts, labels):
+        if gain <= cut:
+            return label
+    return labels[-1]
+
+
 def classify(g: LinkGains) -> Regime:
     """Map gains to their ``(R, T)`` cell.
 
@@ -124,35 +146,10 @@ def classify(g: LinkGains) -> Regime:
     when the side condition fails they may be unordered, in which case the
     first matching label wins and ``side_condition_holds`` is False.
     """
-    validate_gains(g)
-    relay1 = g.gr1 ** 2
-    relay2 = g.gr2 ** 2
-    direct2 = g.g21 ** 2
-    beam2 = g.g2r ** 2
-    direct1 = g.g12 ** 2
-    beam1 = g.g1r ** 2
-    scale = 1.0 + relay1 * g.p
-
-    if relay1 <= direct2:
-        r_index = "R1"
-    elif relay1 <= direct2 + beam2:
-        r_index = "R2"
-    else:
-        r_index = "R3"
-
-    if relay2 <= direct1:
-        t_index = "T1"
-    elif relay2 <= direct1 * scale:
-        t_index = "T2"
-    elif relay2 <= direct1 + beam1:
-        t_index = "T3"
-    elif relay2 <= (direct1 + beam1) * scale:
-        t_index = "T4"
-    else:
-        t_index = "T5"
-
-    side = direct1 * scale <= direct1 + beam1
-    return Regime(r_index=r_index, t_index=t_index, side_condition_holds=side)
+    kernel, _, r_cuts, t_cuts = thresholds(g)
+    return Regime(r_index=_label(kernel.relay1, r_cuts, R_LABELS),
+                  t_index=_label(kernel.relay2, t_cuts, T_LABELS),
+                  side_condition_holds=t_cuts[1] <= t_cuts[2])
 
 
 def technique_lookup(

@@ -3,11 +3,12 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from twrc import GAIN_FIELDS, Geometry
+from twrc import GAIN_FIELDS, Geometry, cli
 
 from helpers import R2T3_GAINS, R3T5_GAINS
 
@@ -136,6 +137,15 @@ class TestSolve:
         assert payload["method"] == "numeric"
         assert payload["regime"] == {"r": "R3", "t": "T5", "side_condition": True}
         assert payload["closed_form_beta3"] is None
+
+    def test_relay_full_power_is_relative_to_a_small_budget(self, capsys):
+        g = replace(R2T3_GAINS, p=1e-8)
+        assert cli.main(["solve", *gain_flags(g), "--mu", "0.75"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        alloc = payload["allocation"]
+        assert alloc["pw1"] + alloc["pw2"] + alloc["beta3"] < 0.9 * g.p
+        assert payload["relay_full_power"] is False
+        assert payload["full_power_ok"] is True
 
     def test_unreachable_relay_stays_silent(self):
         proc = run_cli(

@@ -111,6 +111,10 @@ REALS += [("gamma1", lambda v, f=f: f(replace(Geometry(), gamma1=v)), 0.0, 2.0) 
     gains_from_geometry, lambda geom: regime_map(geom, resolution=2),
     lambda geom: relay_power_profile(geom, samples=1),
 )]
+# the box is clipped to the feasible set, so any finite center is in range
+REALS += [(f"center {name}", lambda v, name=name: local_grid_best(
+    G, 0.5, replace(ALLOC, **{name: v}), radius=0.0, points_per_axis=1), None, getattr(ALLOC, name))
+    for name in ALLOC.to_dict()]
 
 COUNTS = [
     ("resolution", lambda v: regime_map(resolution=v), 1, 2),
@@ -119,12 +123,15 @@ COUNTS = [
 ]
 
 NOT_REALS = ["0.5", None, 1j, math.nan, math.inf, -math.inf]
+# too large for a float, yet a valid count, so tried on REALS only
+HUGE_INT = 10 ** 400
 
 
 def _rejections():
     for i, (name, call, out_of_range, _) in enumerate(REALS):
-        for bad in NOT_REALS + ([] if out_of_range is None else [out_of_range]):
-            yield pytest.param(name, call, bad, id=f"{i}-{name}-{bad!r}")
+        for bad in NOT_REALS + [HUGE_INT] + ([] if out_of_range is None else [out_of_range]):
+            label = "10**400" if bad is HUGE_INT else repr(bad)
+            yield pytest.param(name, call, bad, id=f"{i}-{name}-{label}")
     for name, call, out_of_range, _ in COUNTS:
         for bad in NOT_REALS + [2.0, "2", out_of_range]:
             yield pytest.param(name, call, bad, id=f"{name}-{bad!r}")

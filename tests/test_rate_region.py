@@ -1,5 +1,7 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twrc import (
+    GAIN_FIELDS,
     InfeasibleAllocationError,
     LinkGains,
     PowerAllocation,
@@ -17,6 +20,7 @@ from twrc import (
     compute_constraints,
 )
 
+from twrc import rate_region
 from twrc.rate_region import ALLOCATION_FIELDS, RateKernel, pentagon_corner, validate_mu
 
 from helpers import R3T5_GAINS, random_gains
@@ -278,3 +282,25 @@ def test_face_objective_is_bit_identical_to_kernel_and_corner(amps, log_p, u, mu
     r1, r2 = pentagon_corner(*j, mu >= 0.5)
     want = mu * r1 + (1.0 - mu) * r2 + tie_bonus * (r1 + r2)
     assert kernel.face_objective(p, mu, tie_bonus)(a1, a2, q1, q2) == want
+
+
+def test_only_the_rate_kernel_squares_a_gain():
+    """Every ``<name>.<gain> ** 2`` in the package sits in
+    ``RateKernel.__init__``; the regime thresholds, the closed forms and
+    the oracle read the kernel's squared gains instead of writing their own."""
+    package = Path(rate_region.__file__).parent
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "RateKernel":
+                init = next(f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+                allowed = {id(n) for n in ast.walk(init)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                    and isinstance(node.left, ast.Attribute) and node.left.attr in GAIN_FIELDS
+                    and isinstance(node.right, ast.Constant) and node.right.value == 2
+                    and id(node) not in allowed):
+                outside.append(f"{path.name}:{node.lineno}")
+    assert not outside, outside
