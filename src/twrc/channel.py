@@ -21,6 +21,10 @@ from dataclasses import dataclass, replace
 from .errors import CoincidentNodesError, ValidationError, check_number
 
 GAIN_FIELDS = ("g12", "g21", "g1r", "gr1", "g2r", "gr2")
+# largest amplitude or power budget accepted: the largest product the
+# package forms, the (R2,T5) closed form's ``b * b``, is about
+# ``4 * g**8 * p**3``, which stays finite up to this limit on each
+GAIN_LIMIT = 1e20
 _GAIN_LABELS = tuple((name, f"gain {name}") for name in GAIN_FIELDS) + (("p", "power budget p"),)
 
 
@@ -29,8 +33,10 @@ class LinkGains:
     """Amplitude gains of the six links plus the per-node power budget.
 
     All values are dimensionless amplitudes; the rate formulas square
-    them. Values must be finite and nonnegative (zero is allowed, e.g.
-    ``g12 = g21 = 0`` models the multi-hop channel without direct links).
+    them. Values must be finite, nonnegative (zero is allowed, e.g.
+    ``g12 = g21 = 0`` models the multi-hop channel without direct links)
+    and at most ``GAIN_LIMIT = 1e20``, so that every product of gains and
+    budgets the package forms stays finite.
     """
 
     g12: float
@@ -82,13 +88,14 @@ def numbers_from_dict(what: str, data: dict, keys: tuple[str, ...]) -> dict:
 
 
 def validate_gains(g: LinkGains) -> LinkGains:
-    """Check that every gain and the power budget is finite and >= 0.
+    """Check that every gain and the power budget is a finite number in
+    ``[0, GAIN_LIMIT]``.
 
     Returns the input unchanged when valid so calls can be chained.
     Raises :class:`ValidationError` naming the offending field otherwise.
     """
     for name, label in _GAIN_LABELS:
-        check_number(label, getattr(g, name), 0.0)
+        check_number(label, getattr(g, name), 0.0, GAIN_LIMIT)
     return g
 
 
@@ -148,7 +155,10 @@ def check_point(name: str, point) -> tuple[float, float]:
 
 
 def _path_loss(distance: float, gamma: float) -> float:
-    return distance ** (-gamma / 2.0)
+    try:
+        return distance ** (-gamma / 2.0)
+    except OverflowError:
+        return math.inf
 
 
 def gains_from_geometry(geom: Geometry, p: float = 1.0) -> LinkGains:
@@ -160,16 +170,21 @@ def gains_from_geometry(geom: Geometry, p: float = 1.0) -> LinkGains:
     node pair share a distance but use different exponents.
 
     Raises :class:`CoincidentNodesError` when any two nodes coincide, since
-    the path-loss law diverges at zero distance.
+    the path-loss law diverges at zero distance, or are so close that a
+    gain would exceed ``GAIN_LIMIT``.
     """
     validate_geometry(geom)
-    check_number("power budget p", p, 0.0)
+    check_number("power budget p", p, 0.0, GAIN_LIMIT)
     distances = []
     for name_a, name_b in (("user1", "user2"), ("user1", "relay"), ("user2", "relay")):
         pos_a, pos_b = getattr(geom, name_a), getattr(geom, name_b)
         dist = math.hypot(pos_a[0] - pos_b[0], pos_a[1] - pos_b[1])
         if dist == 0.0:
             raise CoincidentNodesError(f"nodes {name_a} and {name_b} coincide at {tuple(pos_a)}")
+        if _path_loss(dist, max(geom.gamma1, geom.gamma2)) > GAIN_LIMIT:
+            raise CoincidentNodesError(
+                f"nodes {name_a} and {name_b} are {dist!r} apart, so close that a gain "
+                f"would exceed {GAIN_LIMIT:g}")
         distances.append(dist)
     d12, d1r, d2r = distances
     return LinkGains(

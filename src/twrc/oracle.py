@@ -10,15 +10,15 @@ containment comparisons are exact: every restricted lattice is a literal
 subset of the composite lattice. :func:`grid_best` skips the points and
 corners that cannot hold a weighted-sum maximum.
 
-The relay faces, which hold nearly all of the lattice, are never
-materialized: each bound is evaluated once on the sub-lattice of the
-variables it reads, in one broadcast kernel call, and the pentagon
-corners broadcast back to one ``a1`` level at a time
-(:func:`_face_corners`). The rates are bit-identical to evaluating
-every point; :func:`_candidate_batches` keeps the materialized lattice
-as the reference the tests compare against. The Pareto filter drops the
-points strictly dominated by the batch's max-sum point before its sort,
-which provably keeps the same points.
+Every lattice is a list of product pieces, user-1 points x user-2
+points x relay points (:func:`_pieces`), and one evaluator serves them
+all without materializing them: each bound is evaluated once on the
+points it reads, in one broadcast kernel call, and the pentagon corners
+broadcast back to one user-1 point at a time (:func:`_corners`). The
+rates are bit-identical to evaluating every allocation alone, which the
+tests do on the materialized lattice as their reference. The Pareto
+filter drops the points strictly dominated by the batch's max-sum point
+before its sort, which provably keeps the same points.
 
 The oracle shares only the rate formulas with the solver and never
 calls it; the sweeps that do call it live in :mod:`twrc.sweeps`.
@@ -100,10 +100,11 @@ class RegionHull:
         return out
 
 
-def _check_cap(count: int) -> None:
+def _check_cap(count: float, at_least: bool = False) -> None:
     """Raise :class:`GridCapError` when ``count`` evaluations exceed the
-    cap: ``TWRC_GRID_CAP`` if set, else the default. A cap that is not an
-    integer >= 1 raises :class:`ValidationError`."""
+    cap: ``TWRC_GRID_CAP`` if set, else the default. ``at_least`` marks a
+    lower bound on the count. A cap that is not an integer >= 1 raises
+    :class:`ValidationError`."""
     raw = os.environ.get(GRID_CAP_ENV)
     try:
         value = int(raw) if raw else DEFAULT_GRID_CAP
@@ -113,18 +114,23 @@ def _check_cap(count: int) -> None:
         raise ValidationError(f"{GRID_CAP_ENV} must be an integer >= 1, got {raw!r}")
     if count > value:
         raise GridCapError(
-            f"grid needs {count} evaluations, over the cap of {value}; "
-            f"raise {GRID_CAP_ENV} or increase step"
+            f"grid needs {'at least ' if at_least else ''}{count} evaluations, over the cap "
+            f"of {value}; raise {GRID_CAP_ENV} or increase step"
         )
 
 
 def _levels(p: float, step: float) -> np.ndarray:
     """Lattice 0, step, 2*step, ... plus p itself when step does not
     divide p (the final cell is then shorter than step). No level exceeds
-    p, which ``n * step`` can by rounding."""
+    p, which ``n * step`` can by rounding.
+
+    Every lattice evaluates at least one point per level, so the level
+    count is checked against the cap before anything is allocated."""
     if p <= 0.0:
         return np.zeros(1)
-    n = int(math.floor(p / step + 1e-9))
+    ratio = p / step + 1e-9
+    _check_cap(math.floor(ratio) + 1 if math.isfinite(ratio) else ratio, at_least=True)
+    n = math.floor(ratio)
     vals = np.minimum(np.linspace(0.0, n * step, n + 1), p)
     if n * step < p - 1e-12 * max(1.0, p):
         vals = np.append(vals, p)
@@ -142,127 +148,99 @@ def _simplex_pairs(levels: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray
     return g1[mask], g2[mask]
 
 
-def _corner_rates(g: LinkGains, a1, b1, a2, b2, q1, q2, b3):
-    """Both pentagon corners for a batch of allocations (numpy arrays):
-    user 1's ``(r1a, r2a)``, then user 2's ``(r1b, r2b)``."""
-    j = RateKernel(g).bounds(b1, b2, np.sqrt(q1 * a1), np.sqrt(q2 * a2), q1 + b3, q2 + b3)
-    return (*pentagon_corner(*j, True), *pentagon_corner(*j, False))
+class _Piece(NamedTuple):
+    """A product lattice: every user-1 point ``(alpha1, beta1)`` with every
+    user-2 point ``(alpha2, beta2)`` and every relay point ``(pw1, pw2,
+    beta3)``, user 1 outermost and the relay innermost. Each field is a
+    1-D array, paired by position within its point set."""
+
+    alpha1: np.ndarray
+    beta1: np.ndarray
+    alpha2: np.ndarray
+    beta2: np.ndarray
+    pw1: np.ndarray
+    pw2: np.ndarray
+    beta3: np.ndarray
+
+    def powers(self, i: int, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The seven powers, in :class:`PowerAllocation` field order, of
+        user-1 point ``i`` with the points ``flat`` of the row-major
+        (user-2 point, relay point) plane."""
+        u2, relay = np.divmod(flat, len(self.pw1))
+        return (np.full(len(flat), self.alpha1[i]), np.full(len(flat), self.beta1[i]),
+                self.alpha2[u2], self.beta2[u2], self.pw1[relay], self.pw2[relay], self.beta3[relay])
 
 
-_Batch = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+def _face(levels: np.ndarray, p: float, bin_power: bool) -> _Piece:
+    """Full-power users on every level times the relay simplex pairs, the
+    bin power the rest of the relay budget (clamped at 0, as ``pw1 + pw2``
+    may round past ``p``) or, without ``bin_power``, 0."""
+    q1, q2 = _simplex_pairs(levels, p)
+    b3 = np.maximum(p - q1 - q2, 0.0) if bin_power else np.zeros_like(q1)
+    return _Piece(levels, p - levels, levels, p - levels, q1, q2, b3)
 
 
-def _face_batches(levels: np.ndarray, p: float, q1p: np.ndarray, q2p: np.ndarray,
-                  zero_bin: bool) -> Iterator[_Batch]:
-    """Lattice over (a1, a2, relay simplex) with the bin power of
-    :func:`_relay_bin`, one batch per ``a1`` level."""
-    n = len(levels)
-    m = len(q1p)
-    a2 = np.repeat(levels, m)
-    q1 = np.tile(q1p, n)
-    q2 = np.tile(q2p, n)
-    b3 = np.tile(_relay_bin(p, q1p, q2p, zero_bin), n)
-    for a1_val in levels:
-        a1 = np.full_like(a2, a1_val)
-        valid = ((q1 <= 0.0) | (a1 > 0.0)) & ((q2 <= 0.0) | (a2 > 0.0))
-        yield a1[valid], a2[valid], q1[valid], q2[valid], b3[valid]
+def _pieces(restriction: SchemeRestriction, levels: np.ndarray, p: float) -> list[_Piece]:
+    """A restriction's lattice as product pieces, in candidate order.
 
-
-def _face_corners(g: LinkGains, levels: np.ndarray, p: float, q1p: np.ndarray,
-                  q2p: np.ndarray, b3p: np.ndarray,
-                  favors: Iterable[bool]) -> Iterator[tuple[float, np.ndarray, dict]]:
-    """The face lattice of :func:`_face_batches`, with the bin power
-    ``b3p`` per relay pair, one ``a1`` level at a time: ``(a1, valid,
-    corners)``. ``valid`` is the ``(n, m)`` mask of valid points over
-    (``a2`` level, relay pair), whose ravel order is that of the batch,
-    and ``corners[f]`` is :func:`pentagon_corner` favoring user 1 when
-    ``f``, as ``(n, m)`` arrays.
-
-    Each bound is evaluated once on the sub-lattice it depends on
-    (``j1`` on ``a1``, ``j3`` on ``a2``, ``j5`` on both, ``j2`` on
-    ``a1`` and the relay pair, ``j4`` on ``a2`` and the pair), through
-    one broadcast :meth:`~twrc.rate_region.RateKernel.bounds` call, in
-    the operand order of :func:`_corner_rates`, so the rates are
-    bit-identical to the materialized batch. No array exceeds ``n * m``.
+    Composite is the relay's full-power face, the ``beta3 = 0`` face and
+    the bin-only line. It has no time-share planes: each of their points
+    is a point of the full-power face, with the same rates, and comes
+    after it, so the Pareto filter would drop it.
     """
-    a1 = levels[:, None, None]
-    a2 = levels[None, :, None]
+    idle = (np.zeros(1), np.full(1, p))
+    zeros = np.zeros_like(levels)
+    bin_line = _Piece(*idle, *idle, zeros, zeros, levels)
+    if restriction == SchemeRestriction.COMPOSITE:
+        return [_face(levels, p, True), _face(levels, p, False), bin_line]
+    if restriction == SchemeRestriction.BLOCK_MARKOV_ONLY:
+        return [_face(levels, p, False)]
+    if restriction == SchemeRestriction.INDEPENDENT_ONLY:
+        return [bin_line]
+    # time sharing: one user block Markov only, the other independent only
+    full = (levels, p - levels)
+    return [_Piece(*full, *idle, levels, zeros, p - levels),
+            _Piece(*idle, *full, zeros, levels, p - levels)]
+
+
+def _corners(g: LinkGains, piece: _Piece,
+             favors: Iterable[bool]) -> Iterator[tuple[int, np.ndarray, dict]]:
+    """The pentagon corners of ``piece``, one user-1 point at a time:
+    ``(i, valid, corners)``. ``valid`` is the mask of valid allocations
+    over (user-2 point, relay point), whose ravel order is candidate
+    order, and ``corners[f]`` is :func:`pentagon_corner` favoring user 1
+    when ``f``, as two arrays of that shape. An allocation is valid when
+    each user the relay spends coherent power ``pw_i > 0`` on sends a
+    coherent part ``alpha_i > 0``.
+
+    Each bound is evaluated once on the points it reads (``j1`` on
+    user 1, ``j3`` on user 2, ``j5`` on both, ``j2`` on user 1 x relay,
+    ``j4`` on user 2 x relay) through one broadcast
+    :meth:`~twrc.rate_region.RateKernel.bounds` call, with the operands
+    of evaluating each allocation alone, so the rates are bit-identical
+    to that. The corner arrays are user-2 points x relay points.
+    """
+    a1 = piece.alpha1[:, None, None]
+    a2 = piece.alpha2[:, None]
     j1, j2, j3, j4, j5 = RateKernel(g).bounds(
-        p - a1, p - a2, np.sqrt(q1p * a1), np.sqrt(q2p * a2), q1p + b3p, q2p + b3p)
-    valid_pos = (q2p <= 0.0) | (levels[:, None] > 0.0)
-    valid_zero = valid_pos & (q1p <= 0.0)
-    for i, a1_val in enumerate(levels):
-        j = (j1[i], j2[i], j3[0], j4[0], j5[i])
-        corners = {f: pentagon_corner(*j, f) for f in favors}
-        yield a1_val, (valid_pos if a1_val > 0.0 else valid_zero), corners
+        piece.beta1[:, None, None], piece.beta2[:, None], np.sqrt(piece.pw1 * a1),
+        np.sqrt(piece.pw2 * a2), piece.pw1 + piece.beta3, piece.pw2 + piece.beta3)
+    valid = (piece.pw2 <= 0.0) | (a2 > 0.0)
+    valid_idle = valid & (piece.pw1 <= 0.0)
+    for i, a1_val in enumerate(piece.alpha1):
+        j = (j1[i], j2[i], j3, j4, j5[i])
+        yield i, (valid if a1_val > 0.0 else valid_idle), {f: pentagon_corner(*j, f) for f in favors}
 
 
-def _relay_bin(p: float, q1p: np.ndarray, q2p: np.ndarray, zero_bin: bool) -> np.ndarray:
-    """Bin power per relay pair: the rest of the budget, clamped at 0 as
-    ``q1 + q2`` may round past ``p``, or 0 on the block-Markov-only face."""
-    return np.zeros_like(q1p) if zero_bin else np.maximum(p - q1p - q2p, 0.0)
-
-
-def _mixed_batch(levels: np.ndarray, p: float, bm_user: int) -> Iterator[_Batch]:
-    """One user runs block Markov only (fresh power + coherent relay
-    power), the other independent only (bin power takes the rest)."""
-    n = len(levels)
-    a = np.repeat(levels, n)
-    q = np.tile(levels, n)
-    valid = (q <= 0.0) | (a > 0.0)
-    a, q = a[valid], q[valid]
-    b3 = p - q
-    zeros = np.zeros_like(a)
-    if bm_user == 1:
-        yield a, zeros, q, zeros.copy(), b3
-    else:
-        yield zeros, a, zeros.copy(), q, b3
-
-
-class _Lattice(NamedTuple):
-    """A restriction's lattice, in lattice order: the relay faces (the
-    ``zero_bin`` flag of each), then the bin-only line, then the two
-    time-share planes."""
-
-    faces: tuple[bool, ...]
-    bin_line: bool
-    time_share: bool
-
-    def count(self, levels: np.ndarray, p: float) -> int:
-        n = len(levels)
-        pairs = _simplex_pair_count(levels, p) if self.faces else 0
-        return len(self.faces) * n * n * pairs + self.bin_line * n + self.time_share * 2 * n * n
-
-    def line_batches(self, levels: np.ndarray, p: float) -> Iterator[_Batch]:
-        """The lattice after its faces."""
-        if self.bin_line:
-            zeros = np.zeros_like(levels)
-            yield zeros, zeros, zeros.copy(), zeros.copy(), levels.copy()
-        if self.time_share:
-            yield from _mixed_batch(levels, p, bm_user=1)
-            yield from _mixed_batch(levels, p, bm_user=2)
-
-
-# direct-only has no lattice: its hull is the analytic rectangle
-_LATTICES = {
-    SchemeRestriction.COMPOSITE: _Lattice(faces=(False, True), bin_line=True, time_share=True),
-    SchemeRestriction.BLOCK_MARKOV_ONLY: _Lattice(faces=(True,), bin_line=False, time_share=False),
-    SchemeRestriction.INDEPENDENT_ONLY: _Lattice(faces=(), bin_line=True, time_share=False),
-    SchemeRestriction.TIME_SHARE: _Lattice(faces=(), bin_line=False, time_share=True),
-}
-
-
-def _candidate_batches(restriction: SchemeRestriction, levels: np.ndarray,
-                       p: float) -> Iterator[_Batch]:
-    """Every candidate of the restriction's lattice, materialized batch
-    by batch: the reference that :func:`grid_region` and
-    :func:`grid_best` evaluate without materializing the faces."""
-    lattice = _LATTICES[restriction]
-    if lattice.faces:
-        q1p, q2p = _simplex_pairs(levels, p)
-    for zero_bin in lattice.faces:
-        yield from _face_batches(levels, p, q1p, q2p, zero_bin)
-    yield from lattice.line_batches(levels, p)
+def _best(g: LinkGains, mu: float, piece: _Piece) -> float:
+    """Best weighted sum at either pentagon corner over the valid points
+    of ``piece``, or -inf when none is valid."""
+    best = -math.inf
+    for _, valid, corners in _corners(g, piece, (True, False)):
+        if valid.any():
+            best = max(best, *(float(np.max(mu * r1[valid] + (1.0 - mu) * r2[valid]))
+                               for r1, r2 in corners.values()))
+    return best
 
 
 def _pareto_mask(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -349,51 +327,28 @@ def grid_region(g: LinkGains, step: float = 0.05,
     if restriction == SchemeRestriction.DIRECT_ONLY:
         return _direct_hull(g, step)
     levels = _levels(p, step)
-    lattice = _LATTICES[restriction]
-    _check_cap(lattice.count(levels, p))
+    n = len(levels)
+    face = n * n * _simplex_pair_count(levels, p)
+    _check_cap({SchemeRestriction.COMPOSITE: 2 * face + n, SchemeRestriction.BLOCK_MARKOV_ONLY: face,
+                SchemeRestriction.INDEPENDENT_ONLY: n, SchemeRestriction.TIME_SHARE: 2 * n * n}[restriction])
     kept: list[tuple[np.ndarray, ...]] = []
-
-    def pareto(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A batch's Pareto points (user 1's corners, then user 2's) and
-        the candidate each one comes from."""
-        k = np.flatnonzero(_pareto_mask(r1, r2))
-        return r1[k], r2[k], k % (len(r1) // 2)
-
-    if lattice.faces:
-        q1p, q2p = _simplex_pairs(levels, p)
-    for zero_bin in lattice.faces:
-        b3p = _relay_bin(p, q1p, q2p, zero_bin)
-        for a1_val, valid, corners in _face_corners(g, levels, p, q1p, q2p, b3p, (True, False)):
+    for piece in _pieces(restriction, levels, p):
+        for i, valid, corners in _corners(g, piece, (True, False)):
+            # a batch's Pareto points (user 1's corners, then user 2's) and
+            # the allocation each one comes from
             (r1a, r2a), (r1b, r2b) = corners[True], corners[False]
-            r1, r2, i = pareto(np.concatenate([r1a[valid], r1b[valid]]),
-                               np.concatenate([r2a[valid], r2b[valid]]))
-            a2_idx, pair = np.divmod(np.flatnonzero(valid)[i], len(q1p))
-            kept.append((r1, r2, np.full(len(i), a1_val), levels[a2_idx],
-                         q1p[pair], q2p[pair], b3p[pair]))
-    for batch in lattice.line_batches(levels, p):
-        a1, a2, q1, q2, b3 = batch
-        r1a, r2a, r1b, r2b = _corner_rates(g, a1, p - a1, a2, p - a2, q1, q2, b3)
-        r1, r2, i = pareto(np.concatenate([r1a, r1b]), np.concatenate([r2a, r2b]))
-        kept.append((r1, r2, *(c[i] for c in batch)))
-    r1, r2, *coords = (np.concatenate(col) for col in zip(*kept))
+            r1 = np.concatenate([r1a[valid], r1b[valid]])
+            r2 = np.concatenate([r2a[valid], r2b[valid]])
+            k = np.flatnonzero(_pareto_mask(r1, r2))
+            kept.append((r1[k], r2[k], *piece.powers(i, np.flatnonzero(valid)[k % (len(r1) // 2)])))
+    r1, r2, *powers = (np.concatenate(col) for col in zip(*kept))
     keep = _pareto_mask(r1, r2)
-    r1, r2 = r1[keep], r2[keep]
-    coords = [c[keep] for c in coords]
-    order = np.argsort(r1, kind="stable")
-    r1, r2 = r1[order], r2[order]
-    coords = [c[order] for c in coords]
+    order = np.argsort(r1[keep], kind="stable")
+    r1, r2 = r1[keep][order], r2[keep][order]
+    powers = [c[keep][order] for c in powers]
     chain = _chain_indices(r1, r2)
-
-    def _alloc(i: int) -> PowerAllocation:
-        return PowerAllocation(
-            alpha1=float(coords[0][i]), beta1=float(p - coords[0][i]),
-            alpha2=float(coords[1][i]), beta2=float(p - coords[1][i]),
-            pw1=float(coords[2][i]), pw2=float(coords[3][i]),
-            beta3=float(coords[4][i]),
-        )
-
     vertices = [RatePoint(r1=float(r1[i]), r2=float(r2[i])) for i in chain]
-    sources = [_alloc(i) for i in chain]
+    sources = [PowerAllocation(*(float(c[i]) for c in powers)) for i in chain]
     if vertices[0].r1 > 0.0:
         vertices.insert(0, RatePoint(r1=0.0, r2=vertices[0].r2))
         sources.insert(0, sources[0])
@@ -419,8 +374,8 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025) -> list[f
     - every point with less bin power (the ``beta3 = 0`` face, the
       bin-only line below ``beta3 = p``) is dominated by the face point
       with the same ``(alpha, pw)``, since raising ``beta3`` raises only
-      the user-side bounds ``j2`` and ``j4``; the mixed time-share planes
-      and the bin-only point ``beta3 = p`` are points of the face itself;
+      the user-side bounds ``j2`` and ``j4``; the bin-only point
+      ``beta3 = p`` is a point of the face itself;
     - at the favored corner the weighted sum never falls when any bound
       rises: if ``r1`` gains d, ``r2`` loses at most d, and ``mu >= 1/2``
       (symmetrically for user 2);
@@ -434,10 +389,11 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025) -> list[f
     which need not meet the full-power face, and :func:`audit_grid_best`
     is the independent unreduced check, so neither is pruned.
 
-    Evaluates the face as in :func:`_face_corners` and shares it across
-    all weights, so checking several weights costs barely more than one.
-    The cap counts the face lattice, ``n * n`` user splits times the
-    relay simplex pairs.
+    Evaluates the face with :func:`_corners` and shares it across all
+    weights, so checking several weights costs barely more than one. The
+    tests compare it with a point-by-point search of the whole composite
+    lattice. The cap counts the face lattice, ``n * n`` user splits
+    times the relay simplex pairs.
     """
     validate_gains(g)
     step = _validate_step(step, g.p)
@@ -447,11 +403,9 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025) -> list[f
     p = g.p
     levels = _levels(p, step)
     _check_cap(len(levels) ** 2 * _simplex_pair_count(levels, p))
-    q1p, q2p = _simplex_pairs(levels, p)
-    b3p = _relay_bin(p, q1p, q2p, zero_bin=False)
     favor1 = [mu >= 0.5 for mu in mus]
     best = [-math.inf] * len(mus)
-    for _, valid, corners in _face_corners(g, levels, p, q1p, q2p, b3p, set(favor1)):
+    for _, valid, corners in _corners(g, _face(levels, p, bin_power=True), set(favor1)):
         rates = {f: (r1[valid], r2[valid]) for f, (r1, r2) in corners.items()}
         for k, mu in enumerate(mus):
             r1, r2 = rates[favor1[k]]
@@ -481,26 +435,14 @@ def local_grid_best(g: LinkGains, mu: float, center: PowerAllocation,
     if p <= 0.0:
         return 0.0
 
-    def axis(value: float, hi: float) -> np.ndarray:
-        lo_v = max(0.0, value - radius)
-        hi_v = min(hi, value + radius)
-        return np.linspace(lo_v, hi_v, points_per_axis)
+    def axis(value: float) -> np.ndarray:
+        return np.linspace(*np.clip([value - radius, value + radius], 0.0, p), points_per_axis)
 
-    a1v = axis(center.alpha1, p)
-    a2v = axis(center.alpha2, p)
-    q1v = axis(center.pw1, p)
-    q2v = axis(center.pw2, p)
-    b3v = axis(center.beta3, p)
-    a1, a2, q1, q2, b3 = (x.ravel() for x in np.meshgrid(a1v, a2v, q1v, q2v, b3v, indexing="ij"))
-    ok = (q1 + q2 + b3 <= p * (1.0 + 1e-12))
-    ok &= ((q1 <= 0.0) | (a1 > 0.0)) & ((q2 <= 0.0) | (a2 > 0.0))
-    a1, a2, q1, q2, b3 = a1[ok], a2[ok], q1[ok], q2[ok], b3[ok]
-    if len(a1) == 0:
-        return -math.inf
-    r1a, r2a, r1b, r2b = _corner_rates(g, a1, p - a1, a2, p - a2, q1, q2, b3)
-    wa = float(np.max(mu * r1a + (1.0 - mu) * r2a))
-    wb = float(np.max(mu * r1b + (1.0 - mu) * r2b))
-    return max(wa, wb)
+    a1, a2 = axis(center.alpha1), axis(center.alpha2)
+    q1, q2, b3 = (x.ravel() for x in np.meshgrid(axis(center.pw1), axis(center.pw2),
+                                                 axis(center.beta3), indexing="ij"))
+    ok = q1 + q2 + b3 <= p * (1.0 + 1e-12)
+    return _best(g, mu, _Piece(a1, p - a1, a2, p - a2, q1[ok], q2[ok], b3[ok]))
 
 
 def audit_grid_best(g: LinkGains, mu: float, step: float) -> float:
@@ -515,37 +457,19 @@ def audit_grid_best(g: LinkGains, mu: float, step: float) -> float:
     step = _validate_step(step, g.p)
     p = g.p
     levels = _levels(p, step)
+    # every q1 level has at least the relay triple (q1, 0, 0)
+    _check_cap(_simplex_pair_count(levels, p) ** 2 * len(levels), at_least=True)
     pa, pb = _simplex_pairs(levels, p)
-    m_pairs = len(pa)
-    # relay triples (q1, q2, b3) within budget, one q1 level at a time, so
-    # no array is n**3 and the cap is checked before any lattice is built
+    # relay triples (q1, q2, b3) within budget, counted one q1 level at a
+    # time, so no array is n**3 and the cap is checked before any is built
     q2g, b3g = np.meshgrid(levels, levels, indexing="ij")
     budget = p * (1.0 + 1e-12)
     counts = [int(np.count_nonzero(q1 + q2g + b3g <= budget)) for q1 in levels]
-    m_tri = sum(counts)
-    _check_cap(m_pairs * m_pairs * m_tri)
+    _check_cap(len(pa) ** 2 * sum(counts))
     masks = [q1 + q2g + b3g <= budget for q1 in levels]
-    q1t = np.repeat(levels, counts)
-    q2t = np.concatenate([q2g[m] for m in masks])
-    b3t = np.concatenate([b3g[m] for m in masks])
-    best = -math.inf
-    a2 = np.repeat(pa, m_tri)
-    b2 = np.repeat(pb, m_tri)
-    q1 = np.tile(q1t, m_pairs)
-    q2 = np.tile(q2t, m_pairs)
-    b3 = np.tile(b3t, m_pairs)
-    for a1_val, b1_val in zip(pa, pb):
-        valid = ((q1 <= 0.0) | (a1_val > 0.0)) & ((q2 <= 0.0) | (a2 > 0.0))
-        if not valid.any():
-            continue
-        a1 = np.full(int(valid.sum()), a1_val)
-        b1 = np.full_like(a1, b1_val)
-        r1a, r2a, r1b, r2b = _corner_rates(
-            g, a1, b1, a2[valid], b2[valid], q1[valid], q2[valid], b3[valid])
-        wa = float(np.max(mu * r1a + (1.0 - mu) * r2a))
-        wb = float(np.max(mu * r1b + (1.0 - mu) * r2b))
-        best = max(best, wa, wb)
-    return best
+    relay = (np.repeat(levels, counts), np.concatenate([q2g[m] for m in masks]),
+             np.concatenate([b3g[m] for m in masks]))
+    return _best(g, mu, _Piece(pa, pb, pa, pb, *relay))
 
 
 # absorbs interpolation round-off so exact-subset containment at slack 0

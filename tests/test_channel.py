@@ -129,6 +129,12 @@ class TestGeometry:
         with pytest.raises(CoincidentNodesError, match="user2"):
             gains_from_geometry(geom)
 
+    @pytest.mark.parametrize("relay", [(3.552713678800501e-15, 3.552713678800501e-15), (1e-200, 0.0)])
+    def test_nearly_coincident_relay_and_user_rejected(self, relay):
+        # a gain past GAIN_LIMIT; the path-loss power overflows for the second
+        with pytest.raises(CoincidentNodesError, match="user1"):
+            gains_from_geometry(Geometry(relay=relay))
+
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValidationError, match="gamma1"):
             validate_geometry(Geometry(gamma1=0.0))

@@ -219,8 +219,13 @@ class TestRegion:
         proc = run_cli("region", *gain_flags(R3T5_GAINS),
                        env_extra={"TWRC_GRID_CAP": "10"})
         assert proc.returncode == 3
-        assert "grid needs 204645 evaluations" in proc.stderr
+        assert "grid needs at least 21 evaluations" in proc.stderr
         assert "TWRC_GRID_CAP" in proc.stderr
+
+    def test_tiny_step_stops_at_the_grid_cap(self, monkeypatch, capsys):
+        monkeypatch.delenv("TWRC_GRID_CAP", raising=False)
+        assert cli.main(["region", *gain_flags(R3T5_GAINS), "--step", "1e-13"]) == 3
+        assert "grid needs at least 10000000000001 evaluations" in capsys.readouterr().err
 
     def test_malformed_grid_cap_env_is_invalid_input(self):
         proc = run_cli("region", *gain_flags(R3T5_GAINS),

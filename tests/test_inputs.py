@@ -13,6 +13,7 @@ import pytest
 from twrc import (
     GAIN_FIELDS,
     Geometry,
+    LinkGains,
     PowerAllocation,
     RateConstraints,
     Regime,
@@ -41,6 +42,8 @@ from twrc import (
     validate_gains,
     validate_geometry,
 )
+
+from twrc.channel import GAIN_LIMIT
 
 from helpers import R2T3_GAINS, R2T5_GAINS, R3T5_GAINS
 
@@ -172,3 +175,20 @@ def test_accepts_numpy_scalars(call, good):
 def test_shape_errors_raise_validation_error(call, name):
     with pytest.raises(ValidationError, match=name):
         call()
+
+
+@pytest.mark.parametrize("gains, name", [
+    (LinkGains(1e160, 0.5, 0.5, 0.5, 0.5, 0.5), "g12"),
+    (LinkGains(g12=0.0, g21=0.5, g1r=0.5, gr1=1e150, g2r=0.5, gr2=0.3, p=1e10), "gr1"),
+], ids=["square-overflows", "square-times-p-overflows"])
+def test_gains_past_the_limit_rejected(gains, name):
+    with pytest.raises(ValidationError, match=name):
+        classify(gains)
+
+
+@pytest.mark.parametrize("amp, p", [(1e-3, 1e-6), (1e3, 1e4), (GAIN_LIMIT, GAIN_LIMIT)])
+def test_gains_up_to_the_limit_give_finite_bounds(amp, p):
+    g = LinkGains(amp, amp, amp, amp, amp, amp, p=p)
+    classify(g)
+    cons = compute_constraints(g, PowerAllocation(p / 2, p / 2, p / 2, p / 2, p / 4, p / 4, p / 2))
+    assert all(math.isfinite(v) for v in (cons.j1, cons.j2, cons.j3, cons.j4, cons.j5))

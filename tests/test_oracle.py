@@ -2,6 +2,7 @@ import ast
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from twrc import (
 )
 
 from helpers import MAP_GEOMETRY, R3T5_GAINS, random_gains
+from oracle_reference import corner_rates, lattice_batches, local_box_best
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +125,40 @@ class TestGridRegion:
         monkeypatch.setenv("TWRC_GRID_CAP", "10")
         with pytest.raises(GridCapError, match=r"\d+ evaluations"):
             grid_region(R3T5_GAINS, step=0.05)
+
+    @pytest.mark.parametrize("restriction, count", [
+        # step p/4: 5 levels, 15 relay simplex pairs; composite's time-share
+        # planes are points of its full-power face and not counted again
+        ("composite", 2 * 5 * 5 * 15 + 5),
+        ("bm", 5 * 5 * 15),
+        ("ind", 5),
+        ("timeshare", 2 * 5 * 5),
+    ])
+    def test_grid_cap_counts_the_lattice(self, monkeypatch, restriction, count):
+        monkeypatch.setenv("TWRC_GRID_CAP", str(count - 1))
+        with pytest.raises(GridCapError, match=rf"{count} evaluations"):
+            grid_region(R3T5_GAINS, step=0.25, restriction=restriction)
+        monkeypatch.setenv("TWRC_GRID_CAP", str(count))
+        grid_region(R3T5_GAINS, step=0.25, restriction=restriction)
+
+    @pytest.mark.parametrize("call", [
+        lambda step: grid_region(R3T5_GAINS, step=step),
+        lambda step: grid_region(R3T5_GAINS, step=step, restriction="ind"),
+        lambda step: grid_best(R3T5_GAINS, [0.5], step=step),
+        lambda step: audit_grid_best(R3T5_GAINS, 0.5, step=step),
+    ], ids=["grid_region", "grid_region-ind", "grid_best", "audit_grid_best"])
+    @pytest.mark.parametrize("step", [1e-13, 5e-324])
+    def test_tiny_step_is_refused_before_allocating(self, monkeypatch, call, step):
+        # 1e13 levels would take 80 TB; 1 / 5e-324 overflows to inf
+        monkeypatch.delenv("TWRC_GRID_CAP", raising=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridCapError, match="at least"):
+                call(step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("raw", ["abc", "1e9", "10.5", "0", "-3"])
     def test_malformed_cap_environment_rejected(self, monkeypatch, raw):
@@ -239,10 +275,10 @@ def unpruned_grid_best(g, mus, step):
     p = g.p
     levels = oracle._levels(p, step)
     best = [-math.inf] * len(mus)
-    for a1, a2, q1, q2, b3 in oracle._candidate_batches(SchemeRestriction.COMPOSITE, levels, p):
+    for a1, a2, q1, q2, b3 in lattice_batches(SchemeRestriction.COMPOSITE, levels, p):
         if len(a1) == 0:
             continue
-        r1a, r2a, r1b, r2b = oracle._corner_rates(g, a1, p - a1, a2, p - a2, q1, q2, b3)
+        r1a, r2a, r1b, r2b = corner_rates(g, a1, p - a1, a2, p - a2, q1, q2, b3)
         for k, mu in enumerate(mus):
             wa = np.max(mu * r1a + (1.0 - mu) * r2a)
             wb = np.max(mu * r1b + (1.0 - mu) * r2b)
@@ -271,6 +307,24 @@ def test_grid_best_matches_unpruned_lattice(amps, log_p, divisions):
 
 
 
+@given(
+    amps=st.lists(amplitude, min_size=6, max_size=6),
+    log_p=st.floats(min_value=-6.0, max_value=4.0),
+    center=st.lists(st.floats(min_value=-0.5, max_value=1.5), min_size=5, max_size=5),
+    radius=st.floats(min_value=0.0, max_value=0.5),
+    points_per_axis=st.integers(min_value=1, max_value=6),
+    mu=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_local_grid_best_matches_materialized_box(amps, log_p, center, radius, points_per_axis, mu):
+    p = 10.0 ** log_p
+    g = LinkGains(g12=amps[0], g21=amps[1], g1r=amps[2], gr1=amps[3], g2r=amps[4], gr2=amps[5], p=p)
+    # fractions outside [0, 1] put the center outside the budget
+    a1, a2, q1, q2, b3 = (c * p for c in center)
+    alloc = PowerAllocation(alpha1=a1, beta1=p - a1, alpha2=a2, beta2=p - a2, pw1=q1, pw2=q2, beta3=b3)
+    got = local_grid_best(g, mu, alloc, radius * p, points_per_axis)
+    assert got == local_box_best(g, mu, alloc, radius * p, points_per_axis)
+
+
 def plain_pareto_mask(r1, r2):
     """Points whose r2 beats every point before them in the order r1
     descending, then r2 descending, then index: one full lexsort."""
@@ -286,14 +340,14 @@ def plain_pareto_mask(r1, r2):
 
 def reference_region(g, step, restriction):
     """``(vertices, sources)`` of the hull over the materialized lattice:
-    every candidate batch of ``_candidate_batches``, both corners from
-    ``_corner_rates``, one plain lexsort filter over all of them."""
+    every candidate batch of ``lattice_batches``, both corners from
+    ``corner_rates``, one plain lexsort filter over all of them."""
     p = g.p
     levels = oracle._levels(p, step)
     rates, coords = [], []
-    for batch in oracle._candidate_batches(restriction, levels, p):
+    for batch in lattice_batches(restriction, levels, p):
         a1, a2, q1, q2, b3 = batch
-        r1a, r2a, r1b, r2b = oracle._corner_rates(g, a1, p - a1, a2, p - a2, q1, q2, b3)
+        r1a, r2a, r1b, r2b = corner_rates(g, a1, p - a1, a2, p - a2, q1, q2, b3)
         rates.append((np.concatenate([r1a, r1b]), np.concatenate([r2a, r2b])))
         coords.append(tuple(np.concatenate([c, c]) for c in batch))
     r1, r2 = (np.concatenate(col) for col in zip(*rates))
@@ -372,6 +426,12 @@ class TestRegimeMap:
         assert (skipped[0].x, skipped[0].y) == (0.0, 0.0)
         assert skipped[0].regime is None
         assert skipped[0].assignment is None
+
+    def test_relay_next_to_a_user_becomes_skipped_cell(self):
+        # where a map at resolution 175 over the default bounds puts the
+        # relay: 3.6e-15 m from user 1, so a path-loss gain would pass 1e20
+        cells = regime_map(bounds=(3.552713678800501e-15, 1.0, 0.0, 1.0), resolution=2)
+        assert [c.source == "skipped" for c in cells] == [True, False, False, False]
 
     def test_table_cells_match_stored_table(self):
         cells = regime_map(resolution=15)
@@ -490,6 +550,16 @@ class TestLocalAndAuditValidation:
         value = local_grid_best(R3T5_GAINS, 0.75, self.center, radius=0.0, points_per_axis=1)
         assert math.isfinite(value)
 
+    @pytest.mark.parametrize("alpha1, edge", [(5.0, 1.25), (-5.0, -0.25)])
+    def test_local_box_is_clipped_to_the_budget(self, alpha1, edge):
+        # a center past p + radius (or below -radius) searches the budget's
+        # end, not alpha1 > p (a negative beta1) or alpha1 < 0
+        far = replace(self.center, alpha1=alpha1)
+        near = replace(self.center, alpha1=edge)
+        got = local_grid_best(R3T5_GAINS, 0.75, far, radius=0.25)
+        assert math.isfinite(got)
+        assert got == local_grid_best(R3T5_GAINS, 0.75, near, radius=0.25)
+
     @pytest.mark.parametrize("mu", [-0.1, 1.5, math.nan])
     def test_audit_rejects_mu_outside_unit_interval(self, mu):
         with pytest.raises(ValidationError, match="mu"):
@@ -514,6 +584,19 @@ class TestLocalAndAuditValidation:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_audit_refuses_a_fine_step_before_building_the_lattice(self, monkeypatch):
+        # 1501 levels pass the default cap; the simplex pairs and relay
+        # meshgrids would take about 74 MB and seconds to count
+        monkeypatch.delenv("TWRC_GRID_CAP", raising=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridCapError, match="at least"):
+                audit_grid_best(R3T5_GAINS, 0.75, step=1 / 1500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_audit_matches_the_full_relay_meshgrid(self):
         # the relay triples the cube mask keeps, in the same order
         g, step = R3T5_GAINS, 0.25
@@ -530,12 +613,12 @@ class TestLocalAndAuditValidation:
                 k = int(ok.sum())
                 if k == 0:
                     continue
-                r1a, r2a, r1b, r2b = oracle._corner_rates(
+                r1a, r2a, r1b, r2b = corner_rates(
                     g, np.full(k, a1), np.full(k, b1), np.full(k, a2), np.full(k, b2),
                     q1t[ok], q2t[ok], b3t[ok])
                 best = max(best, float(np.max(0.75 * r1a + 0.25 * r2a)),
                            float(np.max(0.75 * r1b + 0.25 * r2b)))
-        assert audit_grid_best(g, 0.75, step=step) == pytest.approx(best, abs=1e-15)
+        assert audit_grid_best(g, 0.75, step=step) == best
 
 
 def test_oracle_imports_only_the_rate_formulas():
