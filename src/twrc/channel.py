@@ -72,19 +72,31 @@ class LinkGains:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinkGains":
-        return validate_gains(cls(**numbers_from_dict("gains", data, GAIN_FIELDS + ("p",))))
+        """The six amplitudes and ``p``, which defaults to 1 when absent."""
+        values = numbers_from_dict("gains", {"p": cls.p, **data}, GAIN_FIELDS + ("p",))
+        return validate_gains(cls(**values))
 
 
 def numbers_from_dict(what: str, data: dict, keys: tuple[str, ...]) -> dict:
     """``float(data[k])`` for each key of a parsed JSON object, or
-    :class:`ValidationError` naming the missing keys or the bad value."""
+    :class:`ValidationError` naming the missing or unknown keys or the bad
+    value."""
     missing = [k for k in keys if k not in data]
     if missing:
         raise ValidationError(f"{what} object is missing keys: {', '.join(missing)}")
+    _check_known_keys(what, data, keys)
     try:
         return {k: float(data[k]) for k in keys}
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} values must be numbers: {exc}") from None
+
+
+def _check_known_keys(what: str, data: dict, keys: tuple[str, ...]) -> None:
+    """:class:`ValidationError` naming the keys of ``data`` outside ``keys``,
+    so a mistyped key is refused instead of silently dropped."""
+    unknown = [str(k) for k in data if k not in keys]
+    if unknown:
+        raise ValidationError(f"{what} object has unknown keys: {', '.join(unknown)}")
 
 
 def validate_gains(g: LinkGains) -> LinkGains:
@@ -123,6 +135,7 @@ class Geometry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Geometry":
+        _check_known_keys("geometry", data, ("user1", "user2", "relay", "gamma1", "gamma2"))
         points = [key for key in ("user1", "user2", "relay") if key in data]
         for key in points:
             if not isinstance(data[key], (list, tuple)) or len(data[key]) != 2:

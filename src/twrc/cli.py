@@ -39,7 +39,7 @@ def _fmt(value: float) -> str:
 def _load_json(path: str, what: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {what} file {path!r}: {exc}") from exc
     try:
         data = json.loads(text)

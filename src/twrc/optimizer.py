@@ -23,15 +23,15 @@ auxiliary variables. A closed-form shortcut covers cells (R2,T3) and
 (R2,T4), where it is provably optimal; the (R2,T5) closed form is exposed
 separately because it is not optimal on all of its cell.
 
-Every rate bound, in the objective, the SLSQP constraint and its
-Jacobian, and dual recovery, is evaluated by
-:class:`~twrc.rate_region.RateKernel`, and every pentagon corner by
+Every rate bound, in the objective, the SLSQP constraint and dual
+recovery, is evaluated by :class:`~twrc.rate_region.RateKernel`, every
+derivative entry of a bound (the SLSQP Jacobian, dual recovery) is read
+from the kernel's ``table``, and every pentagon corner comes from
 :func:`~twrc.rate_region.pentagon_corner`. The scalar objective that the
 line searches, the polls and the finalize step evaluate about a thousand
 times per solve is the kernel's flat fast path,
-:meth:`~twrc.rate_region.RateKernel.face_objective`, which is
-bit-identical to those two composed (a hypothesis test in
-``tests/test_rate_region.py`` compares them with ``==``).
+:meth:`~twrc.rate_region.RateKernel.face_objective`, bit-identical to
+those two composed (a hypothesis test compares them with ``==``).
 
 Every path, the zero-budget answer, the numeric optimum and both closed
 forms, ends in ``_result``, the one place a :class:`SolveResult` is
@@ -252,19 +252,13 @@ def _seed(obj: _Objective) -> tuple[tuple[float, float, float, float], float]:
     p = obj.p
     levels = np.linspace(0.0, p, 9)
     n = len(levels)
-    q1_list = []
-    q2_list = []
-    for i in range(n):
-        for j in range(n - i):
-            q1_list.append(levels[i])
-            q2_list.append(levels[j])
-    q1_arr = np.array(q1_list)
-    q2_arr = np.array(q2_list)
-    m = len(q1_arr)
+    # relay level pairs with q1 + q2 <= p, ordered by q1, then q2
+    i, j = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
+    m = len(i)
     a1 = np.repeat(levels, n * m)
     a2 = np.tile(np.repeat(levels, m), n)
-    q1 = np.tile(q1_arr, n * n)
-    q2 = np.tile(q2_arr, n * n)
+    q1 = np.tile(levels[i], n * n)
+    q2 = np.tile(levels[j], n * n)
     vals = obj.value_batch(a1, a2, q1, q2)
     k = int(np.argmax(vals))
     x = (float(a1[k]), float(a2[k]), float(q1[k]), float(q2[k]))
@@ -316,19 +310,22 @@ def _polish(obj: _Objective, x, val) -> tuple[tuple, float]:
     z0 = np.array([r1, r2, a1, a2, q1, q2,
                    math.sqrt(max(q1 * a1, 0.0)), math.sqrt(max(q2 * a2, 0.0))])
     # box cap on the rate variables, one bit above the largest j5
-    rate_cap = math.log2(1.0 + (k.relay1 + k.relay2) * p) + 1.0
+    rate_cap = k.bounds(p, p, 0.0, 0.0, 0.0, 0.0)[4] + 1.0
     bounds = [(0.0, rate_cap), (0.0, rate_cap)] + [(0.0, p)] * 6
     mu = obj.mu
 
     def objective(z):
         return -(mu * z[0] + (1.0 - mu) * z[1])
 
-    obj_jac = np.zeros(8)
-    obj_jac[0] = -mu
-    obj_jac[1] = -(1.0 - mu)
+    obj_jac = np.array([-mu, -(1.0 - mu), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
     def inputs(z):
         return p - z[2], p - z[3], z[6], z[7], p - z[5], p - z[4]
+
+    # the kernel's d arg / d input table, with each input's column in z
+    # and its sign in inputs()
+    rate_entries = [(bound, (2, 3, 6, 7, 5, 4)[v], (-1.0, -1.0, 1.0, 1.0, -1.0, -1.0)[v] * coef)
+                    for bound, v, coef in k.table]
 
     def cons(z):
         z = z.tolist()
@@ -344,16 +341,10 @@ def _polish(obj: _Objective, x, val) -> tuple[tuple, float]:
 
     def cons_jac(z):
         z = z.tolist()
-        d1, d2, d3, d4, d5 = (arg * _LN2 for arg in k.log_args(*inputs(z)))
+        dens = [arg * _LN2 for arg in k.log_args(*inputs(z))]
         jac = jac_fixed.copy()
-        jac[0, 2] = -k.relay1 / d1
-        jac[1, 5] = -k.beam2 / d2
-        jac[1, 6] = k.cross1 / d2
-        jac[2, 3] = -k.relay2 / d3
-        jac[3, 4] = -k.beam1 / d4
-        jac[3, 7] = k.cross2 / d4
-        jac[4, 2] = -k.relay1 / d5
-        jac[4, 3] = -k.relay2 / d5
+        for bound, col, slope in rate_entries:
+            jac[bound, col] = slope / dens[bound]
         jac[5, [2, 4, 6]] = z[4], z[2], -2.0 * z[6]
         jac[6, [3, 5, 7]] = z[5], z[3], -2.0 * z[7]
         return jac
@@ -477,31 +468,37 @@ def _recover_duals(g: LinkGains, mu: float, alloc: PowerAllocation,
     active += [slacks[i] <= pw_tol for i in range(5, 8)]
 
     k = RateKernel(g)
-    den1, den2, den3, den4, den5 = (arg * _LN2 for arg in k.log_args(*allocation_inputs(alloc)))
-
-    interior = 1e-7 * max(1.0, p)
+    dens = [arg * _LN2 for arg in k.log_args(*allocation_inputs(alloc))]
     rows: list[tuple[list[float], float, float]] = []
     weight = 1e3
     rows.append(([1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], mu, weight))
     rows.append(([0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0], 1.0 - mu, weight))
+
+    def add_row(chain, budget):
+        """Stationarity in one interior power x: ``chain`` is d v / d x for
+        the kernel inputs v, ``budget`` the index of x's budget multiplier."""
+        slopes = [0.0] * 5
+        for bound, v, coef in k.table:
+            slopes[bound] += coef * chain[v]
+        row = [slope / den for slope, den in zip(slopes, dens)] + [0.0, 0.0, 0.0]
+        row[budget] = -1.0
+        rows.append((row, 0.0, 1.0))
+
+    interior = 1e-7 * max(1.0, p)
     if alloc.beta1 > interior:
-        rows.append(([k.relay1 / den1, 0.0, 0.0, 0.0, k.relay1 / den5, -1.0, 0.0, 0.0], 0.0, 1.0))
+        add_row((1.0, 0.0, 0.0, 0.0, 0.0, 0.0), 5)
     if alloc.beta2 > interior:
-        rows.append(([0.0, 0.0, k.relay2 / den3, 0.0, k.relay2 / den5, 0.0, -1.0, 0.0], 0.0, 1.0))
+        add_row((0.0, 1.0, 0.0, 0.0, 0.0, 0.0), 6)
     if alloc.alpha1 > interior and alloc.pw1 > interior:
-        slope = k.cross1 * 0.5 * math.sqrt(alloc.pw1 / alloc.alpha1) / den2
-        rows.append(([0.0, slope, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0], 0.0, 1.0))
+        add_row((0.0, 0.0, 0.5 * math.sqrt(alloc.pw1 / alloc.alpha1), 0.0, 0.0, 0.0), 5)
     if alloc.alpha2 > interior and alloc.pw2 > interior:
-        slope = k.cross2 * 0.5 * math.sqrt(alloc.pw2 / alloc.alpha2) / den4
-        rows.append(([0.0, 0.0, 0.0, slope, 0.0, 0.0, -1.0, 0.0], 0.0, 1.0))
+        add_row((0.0, 0.0, 0.0, 0.5 * math.sqrt(alloc.pw2 / alloc.alpha2), 0.0, 0.0), 6)
     if alloc.pw1 > interior:
-        slope = (k.cross1 * 0.5 * math.sqrt(alloc.alpha1 / alloc.pw1) + k.beam2) / den2
-        rows.append(([0.0, slope, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0], 0.0, 1.0))
+        add_row((0.0, 0.0, 0.5 * math.sqrt(alloc.alpha1 / alloc.pw1), 0.0, 1.0, 0.0), 7)
     if alloc.pw2 > interior:
-        slope = (k.cross2 * 0.5 * math.sqrt(alloc.alpha2 / alloc.pw2) + k.beam1) / den4
-        rows.append(([0.0, 0.0, 0.0, slope, 0.0, 0.0, 0.0, -1.0], 0.0, 1.0))
+        add_row((0.0, 0.0, 0.0, 0.5 * math.sqrt(alloc.alpha2 / alloc.pw2), 0.0, 1.0), 7)
     if alloc.beta3 > interior:
-        rows.append(([0.0, k.beam2 / den2, 0.0, k.beam1 / den4, 0.0, 0.0, 0.0, -1.0], 0.0, 1.0))
+        add_row((0.0, 0.0, 0.0, 0.0, 1.0, 1.0), 7)
 
     free = [i for i in range(8) if active[i]]
     lam = [0.0] * 8
@@ -566,14 +563,12 @@ def _finalize(obj: _Objective, g: LinkGains, mu: float, x, method: str) -> Solve
             if v >= val - snap_tol:
                 x, val = cand, v
     # a zero repeated-message power cannot support coherent relay power
-    cleaned = [float(v) for v in x]
-    if cleaned[0] == 0.0:
-        cleaned[2] = 0.0
-    if cleaned[1] == 0.0:
-        cleaned[3] = 0.0
-    x = tuple(cleaned)
-
-    a1, a2, q1, q2 = x
+    a1, a2, q1, q2 = (float(v) for v in x)
+    if a1 == 0.0:
+        q1 = 0.0
+    if a2 == 0.0:
+        q2 = 0.0
+    x = (a1, a2, q1, q2)
     act = ACTIVITY_THRESHOLD * p
     if q1 + q2 > act:
         beta3 = max(float(p - q1 - q2), 0.0)

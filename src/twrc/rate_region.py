@@ -18,13 +18,13 @@ replace the unbounded per-user scaling factors ``k_i`` via
 ``pw_i = k_i * alpha_i``, which keeps the feasible set identical while
 making it compact.
 
-The bound formulas are written once, in :class:`RateKernel`, and the
-corner rule once, in :func:`pentagon_corner`; both evaluate floats or
-numpy arrays, and the solver and the grid oracle go through them. The
-one exception is :meth:`RateKernel.face_objective`, the solver's scalar
-objective on the relay face, which writes both out flat for speed; it
-runs the same float operations in the same order, and a hypothesis test
-(``tests/test_rate_region.py``) holds it bit-identical to them.
+The bound formulas are written once, in :class:`RateKernel`, with their
+derivative entries in its ``table``, and the corner rule once, in
+:func:`pentagon_corner`; the solver and the grid oracle go through them,
+on floats or numpy arrays. :meth:`RateKernel.face_objective`, the
+solver's scalar objective on the relay face, writes both out flat for
+speed with the same float operations in the same order, and a
+hypothesis test holds it bit-identical to them.
 """
 
 from __future__ import annotations
@@ -155,24 +155,26 @@ def validate_allocation(a: PowerAllocation, p: float) -> PowerAllocation:
 
 class RateKernel:
     """The five rate bounds as functions of the gains: the one place their
-    formulas are written.
+    formulas and their derivatives are written.
 
-    The inputs are the fresh-message powers ``beta1``/``beta2``, the
-    coherent couplings ``s1 = sqrt(pw1 * alpha1)`` and
-    ``s2 = sqrt(pw2 * alpha2)``, and the relay power forwarded to each
-    receiving user, ``f1 = pw1 + beta3`` (carrying user 1's message to
-    user 2) and ``f2 = pw2 + beta3``. Callers that search the relay face
-    pass ``f1 = p - pw2`` and ``f2 = p - pw1`` directly. The inputs are
-    either all floats, evaluated with :mod:`math`, or numpy arrays,
-    evaluated elementwise with numpy.
+    The inputs ``v = (beta1, beta2, s1, s2, f1, f2)`` are the fresh-message
+    powers, the coherent couplings ``s_i = sqrt(pw_i * alpha_i)`` and the
+    relay power forwarded to each receiving user, ``f1 = pw1 + beta3``
+    (carrying user 1's message to user 2) and ``f2 = pw2 + beta3``;
+    callers that search the relay face pass ``f1 = p - pw2`` and
+    ``f2 = p - pw1``. They are all floats, evaluated with :mod:`math`, or
+    all numpy arrays, evaluated elementwise.
 
     The attributes are the gain products the bounds are built from, and
-    the only place a gain is squared; derivative code (the SLSQP
-    Jacobian, dual recovery) and the regime thresholds read them too.
+    the only place a gain is squared. Each ``log2`` argument is affine,
+    ``arg_k = c_k + A_k . v``, so ``d j_k / d v_i = A_ki / (arg_k ln 2)``.
+    ``table`` holds the nonzero ``A_ki`` as ``(k, i, A_ki)`` triples, ``k``
+    in 0..4 and each row in input order: the one source of derivative
+    entries (the SLSQP Jacobian, dual recovery).
     """
 
     __slots__ = ("relay1", "relay2", "beam1", "beam2", "direct1", "direct2",
-                 "cross1", "cross2", "base2", "base4")
+                 "cross1", "cross2", "base2", "base4", "table")
 
     def __init__(self, g: LinkGains):
         self.relay1 = g.gr1 ** 2
@@ -185,6 +187,9 @@ class RateKernel:
         self.cross2 = 2.0 * g.g12 * g.g1r
         self.base2 = self.direct2 * g.p
         self.base4 = self.direct1 * g.p
+        self.table = ((0, 0, self.relay1), (1, 2, self.cross1), (1, 4, self.beam2),
+                      (2, 1, self.relay2), (3, 3, self.cross2), (3, 5, self.beam1),
+                      (4, 0, self.relay1), (4, 1, self.relay2))
 
     def user_snrs(self, s1, s2, f1, f2):
         """Received SNR of user 1's message at user 2 and of user 2's at

@@ -60,6 +60,17 @@ class TestLinkGainsValidation:
         with pytest.raises(ValidationError, match="gr2"):
             LinkGains.from_dict({name: 0.5 for name in GAIN_FIELDS if name != "gr2"})
 
+    def test_from_dict_defaults_p_to_one(self):
+        data = {name: 0.5 for name in GAIN_FIELDS}
+        assert LinkGains.from_dict(data) == LinkGains(**data, p=1.0)
+
+    @pytest.mark.parametrize("extra", ["P", "gr11"])
+    def test_from_dict_refuses_unknown_keys(self, extra):
+        data = {name: 0.5 for name in GAIN_FIELDS}
+        data[extra] = 2.0
+        with pytest.raises(ValidationError, match=f"unknown keys: {extra}"):
+            LinkGains.from_dict(data)
+
     def test_from_dict_rejects_non_numeric(self):
         data = {name: 0.5 for name in GAIN_FIELDS}
         data["p"] = "one"
@@ -147,6 +158,10 @@ class TestGeometry:
         geom = Geometry(user1=(1.0, 2.0), user2=(3.0, 4.0), relay=(0.0, 9.0),
                         gamma1=2.0, gamma2=4.0)
         assert Geometry.from_dict(geom.to_dict()) == geom
+
+    def test_geometry_from_dict_refuses_unknown_keys(self):
+        with pytest.raises(ValidationError, match="unknown keys: rely"):
+            Geometry.from_dict({"user1": [0, 0], "user2": [20, 0], "rely": [5, 5]})
 
     def test_geometry_from_dict_rejects_bad_point(self):
         with pytest.raises(ValidationError, match="relay"):

@@ -1,10 +1,13 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -16,20 +19,37 @@ from helpers import R2T3_GAINS, R3T5_GAINS
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*argv, env_extra=None):
+def run_child(*argv):
     """Run ``python -m twrc`` on this checkout's ``src``, whatever
-    ``PYTHONPATH`` or installed copy the parent process has."""
+    ``PYTHONPATH`` or installed copy the parent process has. Kept for the
+    tests where the process is the thing tested: one smoke test per
+    subcommand, ``--help`` and the two-run determinism checks."""
     env = dict(os.environ)
     env.pop("TWRC_GRID_CAP", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "twrc", *argv],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def run_cli(*argv, env_extra=None):
+    """Run ``cli.main(argv)`` in this process and return what a
+    ``python -m twrc`` child would: the exit code (``main``'s return value
+    or a ``SystemExit`` code), stdout and stderr. ``TWRC_GRID_CAP`` is
+    unset and ``env_extra`` applied for the call. An exception that
+    escapes ``main`` fails the test, where a child would exit 1."""
+    env = {k: v for k, v in os.environ.items() if k != "TWRC_GRID_CAP"}
+    env.update(env_extra or {})
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env, clear=True), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return subprocess.CompletedProcess(["twrc", *argv], code, out.getvalue(), err.getvalue())
 
 
 def gain_flags(g):
@@ -42,7 +62,7 @@ def gain_flags(g):
 
 class TestClassify:
     def test_inline_showcase_gains(self):
-        proc = run_cli("classify", *gain_flags(R3T5_GAINS))
+        proc = run_child("classify", *gain_flags(R3T5_GAINS))
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["regime"] == {"r": "R3", "t": "T5", "side_condition": True}
@@ -73,6 +93,35 @@ class TestClassify:
         inline = run_cli("classify", *gain_flags(R3T5_GAINS))
         assert from_file.returncode == 0, from_file.stderr
         assert json.loads(from_file.stdout) == json.loads(inline.stdout)
+
+    def test_gains_file_without_p_uses_unit_budget(self, tmp_path):
+        path = tmp_path / "gains.json"
+        path.write_text(json.dumps({name: getattr(R3T5_GAINS, name) for name in GAIN_FIELDS}))
+        from_file = run_cli("classify", "--gains", str(path))
+        inline = run_cli("classify", *gain_flags(replace(R3T5_GAINS, p=1.0)))
+        assert from_file.returncode == 0, from_file.stderr
+        assert from_file.stdout == inline.stdout
+
+    @pytest.mark.parametrize("flag, data, key", [
+        ("--gains", dict(R3T5_GAINS.to_dict(), P=2.0), "P"),
+        ("--geometry", {"user1": [0, 0], "user2": [20, 0], "rely": [5, 5]}, "rely"),
+    ], ids=["gains", "geometry"])
+    def test_unknown_key_in_file_is_invalid_input(self, tmp_path, flag, data, key):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        proc = run_cli("classify", flag, str(path))
+        assert proc.returncode == 2
+        assert f"unknown keys: {key}" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv", [("classify", "--gains"), ("map", "--resolution", "2", "--geometry")],
+                             ids=["classify-gains", "map-geometry"])
+    def test_file_that_is_not_utf8_is_invalid_input(self, tmp_path, argv):
+        path = tmp_path / "input.json"
+        path.write_bytes(b"\xff\xfe{}")
+        proc = run_cli(*argv, str(path))
+        assert proc.returncode == 2
+        assert "cannot read" in proc.stderr
 
     def test_geometry_file_midpoint_relay(self, tmp_path):
         path = tmp_path / "geom.json"
@@ -128,7 +177,7 @@ class TestSolve:
         assert relay_total < R2T3_GAINS.p
 
     def test_showcase_runs_relay_at_full_power(self):
-        proc = run_cli("solve", *gain_flags(R3T5_GAINS))
+        proc = run_child("solve", *gain_flags(R3T5_GAINS))
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["assignment"] == {"user1": "Both", "user2": "Both"}
@@ -174,7 +223,7 @@ class TestSolve:
 
 class TestRegion:
     def test_direct_summary_and_csv(self):
-        proc = run_cli("region", *gain_flags(R3T5_GAINS), "--restrict", "direct")
+        proc = run_child("region", *gain_flags(R3T5_GAINS), "--restrict", "direct")
         assert proc.returncode == 0, proc.stderr
         corner = format(math.log2(1.0625), ".9g")
         total = format(2 * math.log2(1.0625), ".9g")
@@ -236,15 +285,15 @@ class TestRegion:
 
     def test_deterministic_output(self):
         args = ("region", *gain_flags(R3T5_GAINS), "--step", "0.2")
-        first = run_cli(*args)
-        second = run_cli(*args)
+        first = run_child(*args)
+        second = run_child(*args)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0
 
 
 class TestMap:
     def test_minimal_resolution(self):
-        proc = run_cli("map", "--resolution", "2")
+        proc = run_child("map", "--resolution", "2")
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0] == "x,y,r_index,t_index,user1,user2"
@@ -273,8 +322,8 @@ class TestMap:
 
     def test_deterministic_output(self):
         args = ("map", "--resolution", "5")
-        first = run_cli(*args)
-        second = run_cli(*args)
+        first = run_child(*args)
+        second = run_child(*args)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0
 
@@ -294,7 +343,7 @@ class TestMap:
 
 class TestRelayPower:
     def test_single_sample_row_and_summary(self):
-        proc = run_cli("relay-power", "--samples", "1")
+        proc = run_child("relay-power", "--samples", "1")
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0] == "x,y,beta3"
@@ -326,7 +375,7 @@ class TestRelayPower:
 
 class TestParser:
     def test_help_exits_cleanly(self):
-        proc = run_cli("--help")
+        proc = run_child("--help")
         assert proc.returncode == 0
         for name in ("classify", "region", "solve", "map", "relay-power"):
             assert name in proc.stdout

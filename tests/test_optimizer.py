@@ -1,5 +1,7 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +22,8 @@ from twrc import (
     solve_r2t5,
     validate_allocation,
 )
+from twrc import optimizer
+from twrc.rate_region import RateKernel
 
 from helpers import (
     R2T3_GAINS,
@@ -353,3 +357,19 @@ def test_reported_rates_lie_inside_their_own_pentagon(seed):
     cons = compute_constraints(g, res.allocation)
     best = best_weighted_point(cons, 0.75)
     assert res.weighted_sum == pytest.approx(best.weighted_sum(0.75), abs=1e-9)
+
+
+def test_derivative_code_reads_no_gain_product():
+    """The SLSQP stage (``_polish`` with its constraint Jacobian
+    ``cons_jac``) and ``_recover_duals`` take every derivative entry of a
+    rate bound from ``RateKernel.table``; neither reads a gain product."""
+    products = set(RateKernel.__slots__) - {"table"}
+    tree = ast.parse(Path(optimizer.__file__).read_text(encoding="utf-8"))
+    checked, reads = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in ("_polish", "cons_jac", "_recover_duals"):
+            checked.append(node.name)
+            reads += [f"{node.name}:{n.lineno}.{n.attr}" for n in ast.walk(node)
+                      if isinstance(n, ast.Attribute) and n.attr in products]
+    assert sorted(checked) == ["_polish", "_recover_duals", "cons_jac"]
+    assert not reads, reads

@@ -81,6 +81,11 @@ class TestValidateAllocation:
         a = alloc(alpha1=0.25, beta1=0.5, beta2=1.0, beta3=0.1)
         assert PowerAllocation.from_dict(a.to_dict()) == a
 
+    def test_allocation_from_dict_refuses_unknown_keys(self):
+        data = dict(alloc(alpha1=0.25, beta1=0.5, beta2=1.0).to_dict(), beta4=0.1)
+        with pytest.raises(ValidationError, match="unknown keys: beta4"):
+            PowerAllocation.from_dict(data)
+
 
 class TestComputeConstraints:
     def test_unit_gains_reference_point(self):
@@ -282,6 +287,43 @@ def test_face_objective_is_bit_identical_to_kernel_and_corner(amps, log_p, u, mu
     r1, r2 = pentagon_corner(*j, mu >= 0.5)
     want = mu * r1 + (1.0 - mu) * r2 + tie_bonus * (r1 + r2)
     assert kernel.face_objective(p, mu, tie_bonus)(a1, a2, q1, q2) == want
+
+
+@settings(max_examples=300)
+@given(
+    amps=st.lists(face_amplitude, min_size=6, max_size=6),
+    log_p=st.floats(min_value=-6.0, max_value=4.0),
+    u=st.lists(fraction, min_size=6, max_size=6),
+)
+def test_table_is_the_affine_part_of_the_bounds(amps, log_p, u):
+    """``log_args(v) - log_args(0) == A . v`` with ``A`` built from
+    ``RateKernel.table``, and each ``A_ki / (arg_k ln 2)`` matches a
+    central difference of ``j_k = log2(arg_k)``, as :meth:`bounds` takes
+    it; an ``arg_k`` with ``A_ki == 0`` does not move with ``v_i``."""
+    p = 10.0 ** log_p
+    kernel = RateKernel(LinkGains(*amps, p=p))
+    assert list(kernel.table) == sorted(kernel.table, key=lambda entry: entry[:2])
+    slope = [[0.0] * 6 for _ in range(5)]
+    for k, i, coef in kernel.table:
+        slope[k][i] += coef
+    v = [x * p for x in u]
+    args = kernel.log_args(*v)
+    zero = kernel.log_args(*[0.0] * 6)
+    for k in range(5):
+        affine = sum(slope[k][i] * v[i] for i in range(6))
+        assert args[k] - zero[k] == pytest.approx(affine, rel=1e-12, abs=1e-12 * args[k])
+        for i in range(6):
+            # a step that moves arg_k by 1e-4 of itself each way; the other
+            # arguments may turn negative, so only arg_k goes through log2
+            h = 1e-4 * args[k] / slope[k][i] if slope[k][i] > 0.0 else 1.0
+            plus = kernel.log_args(*(x + h * (n == i) for n, x in enumerate(v)))[k]
+            minus = kernel.log_args(*(x - h * (n == i) for n, x in enumerate(v)))[k]
+            if slope[k][i] > 0.0:
+                want = slope[k][i] / (args[k] * math.log(2.0))
+                central = (math.log2(plus) - math.log2(minus)) / (2.0 * h)
+                assert central == pytest.approx(want, rel=1e-6)
+            else:
+                assert plus == minus == args[k]
 
 
 def test_only_the_rate_kernel_squares_a_gain():
