@@ -78,17 +78,26 @@ class LinkGains:
 
 
 def numbers_from_dict(what: str, data: dict, keys: tuple[str, ...]) -> dict:
-    """``float(data[k])`` for each key of a parsed JSON object, or
-    :class:`ValidationError` naming the missing or unknown keys or the bad
-    value."""
+    """``data[k]`` as a float for each key of a parsed JSON object, or
+    :class:`ValidationError` naming the missing or unknown keys or a value
+    that is not a JSON number."""
     missing = [k for k in keys if k not in data]
     if missing:
         raise ValidationError(f"{what} object is missing keys: {', '.join(missing)}")
     _check_known_keys(what, data, keys)
+    return {k: _json_number(what, k, data[k]) for k in keys}
+
+
+def _json_number(what: str, key: str, value) -> float:
+    """``value`` as a float if it is a JSON number, an int or a float; a
+    string or a boolean is refused. An int too large for a float reads as
+    infinity, which the range checks then refuse."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} values must be numbers: {key} is {value!r}")
     try:
-        return {k: float(data[k]) for k in keys}
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} values must be numbers: {exc}") from None
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def _check_known_keys(what: str, data: dict, keys: tuple[str, ...]) -> None:
@@ -136,15 +145,14 @@ class Geometry:
     @classmethod
     def from_dict(cls, data: dict) -> "Geometry":
         _check_known_keys("geometry", data, ("user1", "user2", "relay", "gamma1", "gamma2"))
-        points = [key for key in ("user1", "user2", "relay") if key in data]
-        for key in points:
-            if not isinstance(data[key], (list, tuple)) or len(data[key]) != 2:
+        kwargs = {}
+        for key, value in data.items():
+            if key in ("gamma1", "gamma2"):
+                kwargs[key] = _json_number("geometry", key, value)
+            elif isinstance(value, (list, tuple)) and len(value) == 2:
+                kwargs[key] = tuple(_json_number("geometry", key, v) for v in value)
+            else:
                 raise ValidationError(f"geometry {key} must be an [x, y] pair")
-        try:
-            kwargs = {key: (float(data[key][0]), float(data[key][1])) for key in points}
-            kwargs.update((key, float(data[key])) for key in ("gamma1", "gamma2") if key in data)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"geometry values must be numbers: {exc}") from None
         return validate_geometry(cls(**kwargs))
 
 

@@ -56,7 +56,7 @@ def _resolve_gains(args: argparse.Namespace) -> LinkGains:
     sources = sum([
         args.gains is not None,
         bool(inline_given),
-        getattr(args, "geometry", None) is not None,
+        args.geometry is not None,
     ])
     if sources == 0:
         raise ValidationError(
@@ -79,12 +79,12 @@ def _resolve_gains(args: argparse.Namespace) -> LinkGains:
         if missing:
             flags = ", ".join(f"--{name}" for name in missing)
             raise ValidationError(f"missing inline gain flags: {flags}")
-        return LinkGains(p=p, **{k: float(v) for k, v in inline.items()})
+        return LinkGains(p=p, **inline)
     return gains_from_geometry(_resolve_geometry(args), p=p)
 
 
 def _resolve_geometry(args: argparse.Namespace) -> Geometry:
-    if getattr(args, "geometry", None) is not None:
+    if args.geometry is not None:
         return Geometry.from_dict(_load_json(args.geometry, "geometry"))
     return Geometry()
 
@@ -223,12 +223,11 @@ def cmd_relay_power(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_gain_source_flags(sub: argparse.ArgumentParser, geometry: bool = True) -> None:
+def _add_gain_source_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gains", metavar="FILE", help="JSON file with g12, g21, g1r, gr1, g2r, gr2 and optional p")
     for name in GAIN_FIELDS:
         sub.add_argument(f"--{name}", type=float, metavar="AMP", help=f"inline amplitude gain {name}")
-    if geometry:
-        sub.add_argument("--geometry", metavar="FILE", help="JSON file with user1, user2, relay, gamma1, gamma2")
+    sub.add_argument("--geometry", metavar="FILE", help="JSON file with user1, user2, relay, gamma1, gamma2")
     sub.add_argument("--p", type=float, help="power budget per node (default 1; overrides a gains file)")
 
 

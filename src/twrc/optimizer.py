@@ -10,9 +10,10 @@ Two reductions shrink the search space without losing optima:
 
 * users transmit at full power, so ``beta_i = p - alpha_i``;
 * raising the binning power ``beta3`` never lowers any bound, so the
-  search runs on the relay-budget face ``beta3 = p - pw1 - pw2`` and the
-  reported ``beta3`` is minimized afterwards when no coherent component
-  is active.
+  search runs on the relay-budget face ``beta3 = p - pw1 - pw2`` and,
+  when no coherent component is active, the reported ``beta3`` is the
+  least that keeps the rates: the larger of the two users' bin needs
+  (``_bin_need``), the rule the ``Ind``/``Both`` labels read too.
 
 That leaves four variables ``(alpha1, alpha2, pw1, pw2)``. The numeric
 path seeds from a coarse lattice, refines with golden-section line
@@ -35,7 +36,9 @@ those two composed (a hypothesis test compares them with ``==``).
 
 Every path, the zero-budget answer, the numeric optimum and both closed
 forms, ends in ``_result``, the one place a :class:`SolveResult` is
-built; a new result field is computed there.
+built. It evaluates the allocation once, one kernel and one set of
+``log2`` arguments, and the rates, the labels and the duals all read
+that evaluation; a new result field is computed there.
 
 All rates are log base 2 (bits per channel use).
 """
@@ -61,6 +64,7 @@ from .rate_region import (
     best_weighted_point,
     compute_constraints,
     pentagon_corner,
+    validate_allocation,
     validate_mu,
 )
 from .regimes import SchemeAssignment, Technique, classify, thresholds
@@ -398,58 +402,50 @@ def _optimize(obj: _Objective) -> tuple[tuple, float]:
     return x, val
 
 
-def _min_beta3(obj: _Objective, x, r1: float, r2: float) -> float:
-    """Smallest beta3 preserving the achieved rates (no coherent power)."""
-    a1, a2, q1, q2 = x
-    k = obj.kernel
-    room = obj.p - q1 - q2
-    need = 0.0
-    base1, base2 = k.user_snrs(math.sqrt(max(q1 * a1, 0.0)), math.sqrt(max(q2 * a2, 0.0)), q1, q2)
+def _bin_need(k: RateKernel, s1: float, s2: float, pw1: float, pw2: float,
+              r1: float, r2: float) -> tuple[float, float]:
+    """Bin power each user's rate needs on top of its coherent relay power
+    ``pw_i`` (coupling ``s_i``): ``deficit / beam``, the SNR the rate lacks
+    over the relay-to-receiver gain. It is 0 when the deficit is not
+    positive or the beam is zero, since bin power cannot help that user."""
+    base1, base2 = k.user_snrs(s1, s2, pw1, pw2)
     deficit1 = (2.0 ** r1 - 1.0) - base1
-    if deficit1 > 0.0:
-        if k.beam2 <= 0.0:
-            return room
-        need = max(need, deficit1 / k.beam2)
     deficit2 = (2.0 ** r2 - 1.0) - base2
-    if deficit2 > 0.0:
-        if k.beam1 <= 0.0:
-            return room
-        need = max(need, deficit2 / k.beam1)
-    return min(need, room)
+    return (deficit1 / k.beam2 if deficit1 > 0.0 and k.beam2 > 0.0 else 0.0,
+            deficit2 / k.beam1 if deficit2 > 0.0 and k.beam1 > 0.0 else 0.0)
 
 
-def _infer_assignment(g: LinkGains, alloc: PowerAllocation, rates: RatePoint) -> SchemeAssignment:
+def _infer_assignment(k: RateKernel, p: float, alloc: PowerAllocation,
+                      rates: RatePoint) -> SchemeAssignment:
     """Label each user's technique from the allocation's active components.
 
     A user runs block Markov coding when both its repeated-message power
     and the relay's matching coherent power are active. A user relies on
     independent (binning) relaying when the bin power is active and the
-    user's delivered rate would become infeasible without it. When
+    user's :func:`_bin_need`, the bin power its rate needs, is too: the
+    rule that sets the minimum bin power in :func:`_finalize`. When
     exactly one user beamforms, the bin power is attributed to the other
     user, matching how the bin level is set by that user's constraints.
     """
-    act = ACTIVITY_THRESHOLD * g.p
+    act = ACTIVITY_THRESHOLD * p
     bm1 = alloc.alpha1 > act and alloc.pw1 > act
     bm2 = alloc.alpha2 > act and alloc.pw2 > act
+    need1, need2 = _bin_need(k, math.sqrt(alloc.pw1 * alloc.alpha1), math.sqrt(alloc.pw2 * alloc.alpha2),
+                             alloc.pw1, alloc.pw2, rates.r1, rates.r2)
 
-    k = RateKernel(g)
-    base1, base2 = k.user_snrs(math.sqrt(max(alloc.pw1 * alloc.alpha1, 0.0)),
-                               math.sqrt(max(alloc.pw2 * alloc.alpha2, 0.0)),
-                               alloc.pw1, alloc.pw2)
-
-    def label(bm: bool, other_bm: bool, rate: float, base: float, relay_gain_sq: float) -> Technique:
-        needs_bin = alloc.beta3 > act and (2.0 ** rate - 1.0) - base > act * relay_gain_sq
+    def label(bm: bool, other_bm: bool, need: float) -> Technique:
+        needs_bin = alloc.beta3 > act and need > act
         if bm:
             return Technique.BOTH if needs_bin and other_bm else Technique.BM
         return Technique.IND if needs_bin else Technique.DT
 
-    return SchemeAssignment(user1=label(bm1, bm2, rates.r1, base1, k.beam2),
-                            user2=label(bm2, bm1, rates.r2, base2, k.beam1))
+    return SchemeAssignment(user1=label(bm1, bm2, need1), user2=label(bm2, bm1, need2))
 
 
-def _recover_duals(g: LinkGains, mu: float, alloc: PowerAllocation,
-                   cons: RateConstraints, rates: RatePoint) -> KktDiagnostics:
-    p = g.p
+def _recover_duals(k: RateKernel, p: float, mu: float, alloc: PowerAllocation,
+                   args: Sequence[float], cons: RateConstraints, rates: RatePoint) -> KktDiagnostics:
+    """KKT multipliers of ``alloc`` by nonnegative least squares on the
+    stationarity rows of its interior powers, from ``_result``'s evaluation."""
     if p <= 0.0:
         return _ZERO_DIAGNOSTICS
     slacks = [
@@ -467,8 +463,7 @@ def _recover_duals(g: LinkGains, mu: float, alloc: PowerAllocation,
     active = [slacks[i] <= rate_tol[i] for i in range(5)]
     active += [slacks[i] <= pw_tol for i in range(5, 8)]
 
-    k = RateKernel(g)
-    dens = [arg * _LN2 for arg in k.log_args(*allocation_inputs(alloc))]
+    dens = [arg * _LN2 for arg in args]
     rows: list[tuple[list[float], float, float]] = []
     weight = 1e3
     rows.append(([1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], mu, weight))
@@ -524,14 +519,17 @@ def _recover_duals(g: LinkGains, mu: float, alloc: PowerAllocation,
     )
 
 
-def _result(g: LinkGains, mu: float, alloc: PowerAllocation, method: str,
-            cons: Optional[RateConstraints] = None) -> SolveResult:
-    """The one place a :class:`SolveResult` is built: the rates at the corner
-    ``mu`` favors, the other corner at ``mu = 1/2`` when it differs by more
-    than 1e-12, the labels and the duals. ``cons`` passes bounds a caller
-    already evaluated for ``alloc``, so they are not evaluated twice."""
-    if cons is None:
-        cons = compute_constraints(g, alloc)
+def _result(g: LinkGains, mu: float, alloc: PowerAllocation, method: str) -> SolveResult:
+    """The one place a :class:`SolveResult` is built, on one evaluation of
+    ``alloc``: one :class:`RateKernel`, the ``log2`` arguments ``args`` and
+    the bounds ``cons`` (:func:`compute_constraints` without its check of
+    ``g``, which every caller has made). From them come the rates at the
+    corner ``mu`` favors, the other corner at ``mu = 1/2`` when it differs
+    by more than 1e-12, the labels and the duals."""
+    validate_allocation(alloc, g.p)
+    k = RateKernel(g)
+    args = k.log_args(*allocation_inputs(alloc))
+    cons = RateConstraints(*map(math.log2, args))
     rates = best_weighted_point(cons, mu)
     alternate = None
     if mu == 0.5:
@@ -541,9 +539,9 @@ def _result(g: LinkGains, mu: float, alloc: PowerAllocation, method: str,
     return SolveResult(
         allocation=alloc,
         rates=rates,
-        assignment=_infer_assignment(g, alloc, rates),
+        assignment=_infer_assignment(k, g.p, alloc, rates),
         weighted_sum=rates.weighted_sum(mu),
-        diagnostics=_recover_duals(g, mu, alloc, cons, rates),
+        diagnostics=_recover_duals(k, g.p, mu, alloc, args, cons, rates),
         mu=mu,
         method=method,
         alternate_rates=alternate,
@@ -569,15 +567,14 @@ def _finalize(obj: _Objective, g: LinkGains, mu: float, x, method: str) -> Solve
     if a2 == 0.0:
         q2 = 0.0
     x = (a1, a2, q1, q2)
-    act = ACTIVITY_THRESHOLD * p
-    if q1 + q2 > act:
-        beta3 = max(float(p - q1 - q2), 0.0)
-    else:
-        r1, r2 = obj.rates(x)
-        beta3 = max(float(_min_beta3(obj, x, r1, r2)), 0.0)
+    beta3 = p - q1 - q2
+    if q1 + q2 <= ACTIVITY_THRESHOLD * p:
+        # no coherent power: the least bin power that keeps the rates
+        need = _bin_need(obj.kernel, math.sqrt(q1 * a1), math.sqrt(q2 * a2), q1, q2, *obj.rates(x))
+        beta3 = min(max(need), beta3)
     alloc = PowerAllocation(
         alpha1=a1, beta1=p - a1, alpha2=a2, beta2=p - a2,
-        pw1=q1, pw2=q2, beta3=beta3,
+        pw1=q1, pw2=q2, beta3=max(float(beta3), 0.0),
     )
     return _result(g, mu, alloc, method)
 
@@ -592,15 +589,13 @@ def _closed_form_r2t34(g: LinkGains, mu: float) -> Optional[SolveResult]:
     """
     p = g.p
     alloc = PowerAllocation(0.0, p, 0.0, p, 0.0, 0.0, min_relay_power(g))
+    res = _result(g, mu, alloc, "closed-form-r2t34")
     cons = compute_constraints(g, alloc)
-    res = _result(g, mu, alloc, "closed-form-r2t34", cons)
     # the construct must bind the relay-decoding constraints; otherwise
     # the cell was misjudged (e.g. borderline floats) and the numeric
     # path should decide
-    rates = res.rates
-    tol1 = 1e-9 * (1.0 + cons.j1)
-    tol5 = 1e-9 * (1.0 + cons.j5)
-    if abs(rates.r1 - cons.j1) > tol1 or abs(rates.r1 + rates.r2 - cons.j5) > tol5:
+    r1, r2 = res.rates.r1, res.rates.r2
+    if abs(r1 - cons.j1) > 1e-9 * (1.0 + cons.j1) or abs(r1 + r2 - cons.j5) > 1e-9 * (1.0 + cons.j5):
         return None
     return res
 

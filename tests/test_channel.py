@@ -77,6 +77,18 @@ class TestLinkGainsValidation:
         with pytest.raises(ValidationError, match="numbers"):
             LinkGains.from_dict(data)
 
+    @pytest.mark.parametrize("bad", ["0.25", True])
+    def test_from_dict_accepts_only_json_numbers(self, bad):
+        data = {name: 0.5 for name in GAIN_FIELDS}
+        data["g12"] = bad
+        with pytest.raises(ValidationError, match="values must be numbers: g12"):
+            LinkGains.from_dict(data)
+
+    def test_from_dict_refuses_an_int_too_large_for_a_float(self):
+        data = dict({name: 0.5 for name in GAIN_FIELDS}, gr1=10 ** 400)
+        with pytest.raises(ValidationError, match="gr1 must be a finite number"):
+            LinkGains.from_dict(data)
+
     @pytest.mark.parametrize("name", GAIN_FIELDS + ("p",))
     @pytest.mark.parametrize("bad", ["0.5", None, 1j])
     def test_rejects_non_numeric_field_naming_it(self, name, bad):
@@ -168,7 +180,9 @@ class TestGeometry:
             Geometry.from_dict({"relay": [1.0]})
 
     @pytest.mark.parametrize("data", [{"user1": ["a", 0]}, {"relay": [0, None]},
-                                      {"gamma1": None}, {"gamma2": "steep"}])
+                                      {"gamma1": None}, {"gamma2": "steep"},
+                                      {"user2": ["0.25", 0]}, {"relay": [0, True]},
+                                      {"gamma1": "0.25"}, {"gamma2": True}])
     def test_geometry_from_dict_rejects_non_numeric(self, data):
         with pytest.raises(ValidationError, match="numbers"):
             Geometry.from_dict(data)

@@ -93,6 +93,11 @@ class TestClassify:
         inline = run_cli("classify", *gain_flags(R3T5_GAINS))
         assert from_file.returncode == 0, from_file.stderr
         assert json.loads(from_file.stdout) == json.loads(inline.stdout)
+        # --p overrides the file's budget
+        from_file = run_cli("solve", "--gains", str(path), "--p", "2")
+        inline = run_cli("solve", *gain_flags(replace(R3T5_GAINS, p=2.0)))
+        assert from_file.returncode == 0, from_file.stderr
+        assert from_file.stdout == inline.stdout
 
     def test_gains_file_without_p_uses_unit_budget(self, tmp_path):
         path = tmp_path / "gains.json"
@@ -122,6 +127,20 @@ class TestClassify:
         proc = run_cli(*argv, str(path))
         assert proc.returncode == 2
         assert "cannot read" in proc.stderr
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "is not valid JSON"),
+        ("[0.5, 0.5]", "must hold a JSON object"),
+        (json.dumps(dict(R3T5_GAINS.to_dict(), g12="0.25", g21=True)),
+         "gains values must be numbers: g12 is '0.25'"),
+    ], ids=["invalid", "array", "string-and-bool"])
+    def test_file_that_is_not_a_gains_object_is_invalid_input(self, tmp_path, text, message):
+        path = tmp_path / "gains.json"
+        path.write_text(text)
+        proc = run_cli("classify", "--gains", str(path))
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert proc.stdout == ""
 
     def test_geometry_file_midpoint_relay(self, tmp_path):
         path = tmp_path / "geom.json"

@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,40 @@ def test_every_path_reports_its_allocations_best_corner(run, g, mu, method):
     assert res.ambiguous == (g is _CORNER_TIE)
 
 
+class TestZeroRelayToUserLink:
+    # g2r = 0: the relay cannot reach user 2, so bin power cannot carry
+    # user 1's message and only user 2's need sets beta3
+    G = LinkGains(g12=0.05247829575668491, g21=0.11122032161467511, g1r=0.14019015670632537,
+                  gr1=1.4689609900348921, g2r=0.0, gr2=0.09008770584433425, p=0.7081511275983547)
+
+    def test_bin_power_is_what_the_reachable_user_needs(self):
+        res = solve(self.G, 1.0)
+        a = res.allocation
+        assert (a.pw1, a.pw2) == (0.0, 0.0)
+        assert a.beta3 == 0.19319834404941813
+        assert res.assignment.user1.value == "DT"
+        # the whole relay budget reaches no higher weighted sum
+        full = best_weighted_point(compute_constraints(self.G, replace(a, beta3=self.G.p)), 1.0)
+        assert res.weighted_sum == full.weighted_sum(1.0)
+
+
+@settings(max_examples=60)
+@given(amps=st.lists(_DECADES, min_size=6, max_size=6),
+       p=st.floats(min_value=-6.0, max_value=4.0).map(lambda e: 10.0 ** e),
+       zero=st.sampled_from((("g2r",), ("g1r",), ("g1r", "g2r"))))
+def test_a_zero_relay_to_user_link_never_labels_its_sender_binned(amps, p, zero):
+    # bin power reaches user 2 through g2r only and user 1 through g1r
+    # only, so a zero g2r leaves user 1's message nothing to gain from it,
+    # and a zero g1r user 2's
+    g = replace(LinkGains(*amps, p=p), **{name: 0.0 for name in zero})
+    for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
+        res = solve(g, mu)
+        if g.g2r == 0.0:
+            assert res.assignment.user1.value not in ("Ind", "Both")
+        if g.g1r == 0.0:
+            assert res.assignment.user2.value not in ("Ind", "Both")
+
+
 class TestBoundaryTrace:
     def test_staircase_monotonicity(self):
         mus = [k / 10 for k in range(11)]
@@ -373,3 +408,29 @@ def test_derivative_code_reads_no_gain_product():
                       if isinstance(n, ast.Attribute) and n.attr in products]
     assert sorted(checked) == ["_polish", "_recover_duals", "cons_jac"]
     assert not reads, reads
+
+
+def test_one_kernel_per_result_and_one_bin_need_rule():
+    """In ``optimizer.py`` only ``_Objective.__init__`` and ``_result`` build
+    a ``RateKernel``, so a result is evaluated once, and only ``_bin_need``
+    calls ``user_snrs``, so the minimum bin power and the labels share one
+    rule."""
+    tree = ast.parse(Path(optimizer.__file__).read_text(encoding="utf-8"))
+    allowed = {"RateKernel": {"_Objective.__init__", "_result"}, "user_snrs": {"_bin_need"}}
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in allowed:
+                    calls.append((name, scope))
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = child.name if scope is None else f"{scope}.{child.name}"
+            visit(child, inner)
+
+    visit(tree, None)
+    assert {name for name, _ in calls} == set(allowed)
+    assert all(scope in allowed[name] for name, scope in calls), calls

@@ -57,6 +57,8 @@ class TestValidateAllocation:
     def test_user_budget_violation_names_user(self):
         with pytest.raises(InfeasibleAllocationError, match="user 1"):
             compute_constraints(R3T5_GAINS, alloc(alpha1=0.7, beta1=0.7))
+        with pytest.raises(InfeasibleAllocationError, match="user 2"):
+            compute_constraints(R3T5_GAINS, alloc(alpha2=0.7, beta2=0.7))
 
     def test_relay_budget_violation(self):
         with pytest.raises(InfeasibleAllocationError, match="relay"):
@@ -67,6 +69,8 @@ class TestValidateAllocation:
     def test_coherent_power_requires_source_component(self):
         with pytest.raises(InfeasibleAllocationError, match="pw1"):
             compute_constraints(R3T5_GAINS, alloc(pw1=0.5))
+        with pytest.raises(InfeasibleAllocationError, match="pw2"):
+            compute_constraints(R3T5_GAINS, alloc(alpha1=0.5, pw1=0.25, pw2=0.5))
 
     def test_negative_field_rejected(self):
         with pytest.raises(InfeasibleAllocationError, match="beta3"):
@@ -84,6 +88,12 @@ class TestValidateAllocation:
     def test_allocation_from_dict_refuses_unknown_keys(self):
         data = dict(alloc(alpha1=0.25, beta1=0.5, beta2=1.0).to_dict(), beta4=0.1)
         with pytest.raises(ValidationError, match="unknown keys: beta4"):
+            PowerAllocation.from_dict(data)
+
+    @pytest.mark.parametrize("bad", ["0.25", True])
+    def test_allocation_from_dict_accepts_only_json_numbers(self, bad):
+        data = dict(alloc(alpha1=0.25, beta1=0.5, beta2=1.0).to_dict(), beta3=bad)
+        with pytest.raises(ValidationError, match="values must be numbers: beta3"):
             PowerAllocation.from_dict(data)
 
 
