@@ -170,7 +170,7 @@ class RateKernel:
     ``arg_k = c_k + A_k . v``, so ``d j_k / d v_i = A_ki / (arg_k ln 2)``.
     ``table`` holds the nonzero ``A_ki`` as ``(k, i, A_ki)`` triples, ``k``
     in 0..4 and each row in input order: the one source of derivative
-    entries (the SLSQP Jacobian, dual recovery).
+    entries (the barrier's Newton steps, dual recovery).
     """
 
     __slots__ = ("relay1", "relay2", "beam1", "beam2", "direct1", "direct2",
@@ -218,8 +218,8 @@ class RateKernel:
 
         It returns ``mu * r1 + (1 - mu) * r2 + tie_bonus * (r1 + r2)`` at
         the corner ``mu`` favors, and is :meth:`bounds` followed by
-        :func:`pentagon_corner` written out flat for the solver's line
-        searches: every float operation runs in their order, so the value
+        :func:`pentagon_corner` written out flat for the solver's scalar
+        checks: every float operation runs in their order, so the value
         is bit-identical to the layered path, and a point costs no call
         but ``sqrt``, ``log2`` and ``min``. A negative coupling product
         (rounding at ``alpha_i = 0``) counts as zero.

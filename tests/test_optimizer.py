@@ -5,7 +5,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twrc import (
@@ -18,6 +18,7 @@ from twrc import (
     check_full_power,
     classify,
     compute_constraints,
+    grid_best,
     min_relay_power,
     solve,
     solve_r2t5,
@@ -95,6 +96,20 @@ class TestSolveBasics:
         assert res.rates.r2 <= res.alternate_rates.r2
         both = (res.rates.weighted_sum(0.5), res.alternate_rates.weighted_sum(0.5))
         assert both[0] == pytest.approx(both[1], abs=1e-6)
+
+    def test_equal_weights_keep_the_bin_power_of_both_corners(self):
+        # draw 11 of random_gains(Random(3)): no coherent power, and the
+        # user-2 corner needs more bin power than the user-1 corner
+        g = LinkGains(g12=0.05901561950982189, g21=0.7078720249901279, g1r=0.169503394798807,
+                      gr1=1.2889413407669703, g2r=1.8621185069997872, gr2=0.32261441143743913,
+                      p=1.9977634180636648)
+        res = solve(g, 0.5)
+        assert res.allocation.pw1 + res.allocation.pw2 == 0.0
+        assert res.ambiguous
+        assert res.rates.r1 == pytest.approx(2.110705, abs=1e-6)
+        assert res.alternate_rates.r1 == pytest.approx(2.088558, abs=1e-6)
+        assert res.alternate_rates.r2 == pytest.approx(0.089981, abs=1e-6)
+        assert res.alternate_rates == best_weighted_point(compute_constraints(g, res.allocation), 0.0)
 
     def test_equal_weights_without_a_corner_tie(self):
         # the numeric optimum for these gains equalizes the corners, so
@@ -314,6 +329,85 @@ def test_a_zero_relay_to_user_link_never_labels_its_sender_binned(amps, p, zero)
             assert res.assignment.user2.value not in ("Ind", "Both")
 
 
+# Instances the solver must carry up to the p/24 lattice. On A-G the former
+# seed-refine-polish-poll solver stalled on the face alpha_i = pw_i = 0,
+# 2.5e-4 to 4.5e-3 bits below it (A-F as pinned in bench/inputs.py, G draw
+# 2 of random_gains(Random(3))). On L1-L3 a log2 argument varies over
+# decades between two barrier stages: without -log arg_k in the barrier,
+# or with a stage cut at 50 Newton steps, the solve ended 1e-3 to 4e-2
+# bits below it.
+_HARD = {
+    "A": (dict(g12=1.7506298023965636, g21=0.7065018674621684, g1r=0.12569960453950946,
+               gr1=1.437100152064607, g2r=0.05223671591704307, gr2=1.9130121528748816,
+               p=1.1199586318517318), 0.5),
+    "B": (dict(g12=0.36222251188981536, g21=0.45907648207736995, g1r=0.10478509376878575,
+               gr1=0.7259480069987246, g2r=0.09356936136639868, gr2=0.4045092985833885,
+               p=1.9860957598352251), 0.5),
+    "C": (dict(g12=0.19745311915884284, g21=0.40843089696236173, g1r=0.2363762602350522,
+               gr1=0.6959034816501953, g2r=0.19782103274329274, gr2=0.2787125883927931,
+               p=1.9505910281067562), 0.5),
+    "D": (dict(g21=0.6553252277041374, g2r=0.8175710392960996, gr1=1.179884501927189,
+               g12=0.19130005212328308, g1r=0.5739156901869317, gr2=1.7556517251833983,
+               p=1.4903847727870563), 0.25),
+    "E": (dict(g21=0.9078089861798654, g2r=0.1422032672107268, gr1=1.2807715002120768,
+               g12=0.3458129661644031, g1r=0.5299014436404447, gr2=0.5026949899559745,
+               p=0.6240799077189437), 0.75),
+    "F": (dict(g21=0.46386218722919, g2r=0.18016665729633236, gr1=0.5190402179018537,
+               g12=0.48119075788450244, g1r=0.945712081205875, gr2=1.473562986776211,
+               p=0.6699548139686371), 0.75),
+    "G": (dict(g12=0.5281964816700762, g21=0.08714983140801803, g1r=0.5200616925208942,
+               gr1=1.2292229542124522, g2r=0.34445912155301645, gr2=0.770016349772931,
+               p=1.5071172130543888), 0.75),
+    "L1": (dict(g12=2.2868774208889495, g21=0.07689104715195454, g1r=19.23057376089894,
+                gr1=0.03300560751590219, g2r=0.0032339000686336075, gr2=83.93383722074365,
+                p=23.657480883377215), 0.5),
+    "L2": (dict(g12=521.2888694398749, g21=4.444222162541124, g1r=0.0017863479218468725,
+                gr1=58.55464391269183, g2r=9.893661250576265, gr2=7.207352685652938,
+                p=3.2653683213620344), 1.0),
+    "L3": (dict(g12=15.923236171289886, g21=0.3551402352003906, g1r=10.611031486494909,
+                gr1=0.13939839366619275, g2r=0.10343709531835069, gr2=92.20073083974614,
+                p=0.05781387574293755), 0.25),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HARD))
+def test_hard_instance_reaches_the_lattice(name):
+    gains, mu = _HARD[name]
+    g = LinkGains(**gains)
+    assert solve(g, mu).weighted_sum >= grid_best(g, [mu], step=g.p / 24)[0] - 1e-9
+
+
+def test_former_stall_h_clears_its_old_value():
+    # draw 73 of random_gains(Random(3)); the former solver's value at
+    # mu = 1/4 beat the p/40 lattice, but a restart from alpha1 = 0.05 p
+    # gained 1.98e-4 bits on it
+    g = LinkGains(g12=0.4069396116962378, g21=0.10536807650263909, g1r=0.1258132156560926,
+                  gr1=0.8938011976944921, g2r=0.05586913046189336, gr2=0.9675531641540047,
+                  p=1.8368001700255328)
+    assert solve(g, 0.25).weighted_sum >= 0.44032690217255466 + 1.9e-4
+
+
+_AMPLITUDES = st.sampled_from((0.0,)) | _DECADES
+
+
+@settings(max_examples=150)
+@example(amps=[236.13535787727287, 144.63221521042314, 0.0, 0.015132424830124365, 0.0,
+               0.006006224152594114], p=550.1681280356258, mu=0.5)
+@example(amps=[0.5, 0.3, 0.7, 1.2, 0.4, 0.9], p=1e-200, mu=0.25)
+@given(amps=st.lists(_AMPLITUDES, min_size=6, max_size=6),
+       p=st.floats(min_value=-6.0, max_value=4.0).map(lambda e: 10.0 ** e),
+       mu=st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)))
+def test_solve_holds_on_extreme_inputs(amps, p, mu):
+    # amplitudes over six decades or zero, any subset of them; the examples
+    # add g1r = g2r = 0, where no bound reads pw_i or s_i, and a budget
+    # whose square underflows
+    g = LinkGains(*amps, p=p)
+    res = solve(g, mu)
+    validate_allocation(res.allocation, p)
+    value = res.weighted_sum
+    assert value >= grid_best(g, [mu], step=p / 6)[0] - 1e-9 * max(1.0, abs(value))
+
+
 class TestBoundaryTrace:
     def test_staircase_monotonicity(self):
         mus = [k / 10 for k in range(11)]
@@ -395,18 +489,18 @@ def test_reported_rates_lie_inside_their_own_pentagon(seed):
 
 
 def test_derivative_code_reads_no_gain_product():
-    """The SLSQP stage (``_polish`` with its constraint Jacobian
-    ``cons_jac``) and ``_recover_duals`` take every derivative entry of a
-    rate bound from ``RateKernel.table``; neither reads a gain product."""
+    """The barrier solve (``_barrier`` with its Newton step ``newton``) and
+    ``_recover_duals`` take every derivative entry of a rate bound from
+    ``RateKernel.table``; neither reads a gain product."""
     products = set(RateKernel.__slots__) - {"table"}
     tree = ast.parse(Path(optimizer.__file__).read_text(encoding="utf-8"))
     checked, reads = [], []
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in ("_polish", "cons_jac", "_recover_duals"):
+        if isinstance(node, ast.FunctionDef) and node.name in ("_barrier", "newton", "_recover_duals"):
             checked.append(node.name)
             reads += [f"{node.name}:{n.lineno}.{n.attr}" for n in ast.walk(node)
                       if isinstance(n, ast.Attribute) and n.attr in products]
-    assert sorted(checked) == ["_polish", "_recover_duals", "cons_jac"]
+    assert sorted(checked) == ["_barrier", "_recover_duals", "newton"]
     assert not reads, reads
 
 

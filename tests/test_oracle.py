@@ -507,6 +507,17 @@ class TestRelayPowerProfile:
         with pytest.raises(ValidationError, match="samples"):
             relay_power_profile(samples=0)
 
+    @pytest.mark.parametrize("relay", [(10.0, 20.0), (-4.0, 18.0)])
+    def test_sample_outside_the_formula_cells_reads_the_solvers_bin_power(self, relay):
+        # (R1,T1) and (R2,T1): no coherent power, and min_relay_power does
+        # not cover the cell, so the point is the solver's minimized bin power
+        (point,) = relay_power_profile(MAP_GEOMETRY, samples=1, start=relay, end=relay)
+        g = gains_from_geometry(MAP_GEOMETRY.with_relay(relay), p=1.0)
+        alloc = solve(g, 0.75).allocation
+        assert classify(g).cell not in (("R2", "T3"), ("R2", "T4"))
+        assert alloc.pw1 + alloc.pw2 == 0.0
+        assert (point.x, point.y, point.beta3) == (*relay, alloc.beta3)
+
 
 class TestRestrictionSemantics:
     def test_independent_only_matches_no_coherent_power_search(self, showcase_hulls):
