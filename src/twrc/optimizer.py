@@ -17,18 +17,21 @@ Two reductions shrink the search space without losing optima:
   ``Ind``/``Both`` labels read too.
 
 That leaves four powers ``(alpha1, alpha2, pw1, pw2)``. The numeric path
-is one interior-point solve, ``_barrier``: the log-barrier method on the
-lifted program in ``(r1, r2, alpha1, alpha2, pw1, pw2, s1, s2)``, whose
-answer ``_finalize`` snaps to exact zeros where that costs nothing. A
-closed-form shortcut covers cells (R2,T3) and (R2,T4), where it is
-provably optimal, and ``_certify`` keeps it only when the barrier's
-optimum does not beat it; the (R2,T5) closed form is exposed separately
-because it is not optimal on all of its cell.
+is one interior-point solve, ``_primal_dual``: a primal-dual method on the
+lifted program in ``(r1, r2, alpha1, alpha2, pw1, pw2, s1, s2)``, one
+Newton system and one multiplier update per iteration, whose answer
+``_finalize`` snaps to exact zeros where that costs nothing. ``solve``
+logs its Newton-system count, how it stopped, its surrogate gap and its
+dual residual as one DEBUG record on this module's logger. A closed-form
+shortcut covers cells (R2,T3) and (R2,T4), where it is provably optimal,
+and ``_certify`` keeps it only when the numeric optimum does not beat it;
+the (R2,T5) closed form is exposed separately because it is not optimal
+on all of its cell.
 
-Every rate bound, in the barrier, the finalize step and dual recovery, is
-evaluated by :class:`~twrc.rate_region.RateKernel`, every derivative
-entry of a bound (the barrier's Newton steps, dual recovery) is read from
-the kernel's ``table``, and every pentagon corner comes from
+Every rate bound, in the interior-point solve, the finalize step and dual
+recovery, is evaluated by :class:`~twrc.rate_region.RateKernel`, every
+derivative entry of a bound (the Newton systems, dual recovery) is read
+from the kernel's ``table``, and every pentagon corner comes from
 :func:`~twrc.rate_region.pentagon_corner`. The scalar objective that the
 finalize step and the closed-form check evaluate is the kernel's flat
 fast path, :meth:`~twrc.rate_region.RateKernel.face_objective`,
@@ -46,9 +49,9 @@ All rates are log base 2 (bits per channel use).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import asdict, dataclass
-from operator import truediv
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -86,23 +89,29 @@ _SNAP_TOL = 1e-12
 
 _LN2 = math.log(2.0)
 
-# The log-barrier schedule of _barrier: the first stage's t, its growth
-# per stage, and the duality gap _NU / t at which it stops. _NU counts the
-# barrier's terms: five rate bounds and their five log2 arguments, two
-# cones of degree 2, and alpha_i, p - alpha_i, the relay simplex and r_i + 1.
-_T_START = 10.0
-_T_GROWTH = 100.0
-_GAP = 1e-10
-_NU = 21.0
-# A stage ends when half the squared Newton decrement is at most
-# _CENTERED, or after _NEWTON_STEPS steps. A step goes at most
-# _TO_BOUNDARY of the way to a linear margin's zero and is halved at most
-# _BACKTRACKS times until the objective falls by _ARMIJO of its slope.
-_CENTERED = 0.25
-_NEWTON_STEPS = 200
+# One DEBUG record per numeric solve: its Newton systems, how it stopped,
+# the final surrogate gap and dual residual. Silent unless configured.
+_LOG = logging.getLogger(__name__)
+
+# The primal-dual iteration of _primal_dual on its 14 rows f_i <= 0. A
+# step aims at the central point of t = _GROWTH * 14 / gap, gap the
+# surrogate duality gap -f'lambda, or of t = 14 / gap (centering) after a
+# step shorter than _SHORT; it goes at most _TO_BOUNDARY of the way to a
+# multiplier's or a linearized row's zero, halved until back in the domain.
+# It stops once the gap is at most _GAP (21 / 1e13, the final gap of the
+# log-barrier schedule it replaced; at 1e-10 _TIE_BONUS is unresolved) and
+# the dual residual is at most _DUAL_TOL ("converged"), or complementarity
+# has collapsed before the duals became feasible ("collapsed"): the last
+# step was shorter than _STALLED, as near a cone's alpha_i = pw_i = s_i = 0
+# corner, or did not lower the gap, which then sits at the rows' rounding
+# floor. _ITERATIONS only guards.
+_GROWTH = 10.0
+_GAP = 2.1e-12
+_DUAL_TOL = 1e-6
+_SHORT = 0.5
+_STALLED = 1e-2
 _TO_BOUNDARY = 0.99
-_BACKTRACKS = 60
-_ARMIJO = 0.25
+_ITERATIONS = 100
 # The Newton system's diagonal is raised by this fraction of itself, so
 # that it stays solvable where rounding makes two directions' curvature
 # agree (r1 and r2 move only together at g1r = g2r = 0 and mu = 1/2).
@@ -112,10 +121,9 @@ _RIDGE = 1e-12
 # kernel input (beta1, beta2, s1, s2, f1, f2), and the input's slope in
 # it: beta_i = p - alpha_i, f1 = p - pw2, f2 = p - pw1.
 _INPUT_COLUMNS = ((2, -1.0), (3, -1.0), (6, 1.0), (7, 1.0), (5, -1.0), (4, -1.0))
-# Flat cells of the 8x8 Hessian that each cone's own curvature, minus the
-# Hessian of alpha_i * pw_i - s_i**2 over the margin, reaches: (alpha_i,
-# pw_i), (pw_i, alpha_i) and (s_i, s_i).
-_CONE_CELLS = np.array([2 * 8 + 4, 4 * 8 + 2, 6 * 9, 3 * 8 + 5, 5 * 8 + 3, 7 * 9])
+# Flat cells of the 8x8 Hessian that the curvature of s_i**2 / alpha_i
+# reaches: (alpha_i, alpha_i), (alpha_i, s_i), (s_i, alpha_i), (s_i, s_i).
+_CONE_CELLS = np.array([2 * 9, 2 * 8 + 6, 6 * 8 + 2, 6 * 9, 3 * 9, 3 * 8 + 7, 7 * 8 + 3, 7 * 9])
 
 
 @dataclass(frozen=True)
@@ -202,115 +210,106 @@ class _Objective:
         return self.flat(*x)
 
 
-def _barrier(obj: _Objective) -> tuple[float, float, float, float]:
+def _primal_dual(obj: _Objective) -> tuple[tuple[float, float, float, float], int, str, float, float]:
     """``(alpha1, alpha2, pw1, pw2)`` maximizing the weighted sum on the
-    relay face, by the log-barrier method (Boyd & Vandenberghe, *Convex
-    Optimization*, §11.3-11.5) on the lifted program in
-    ``z = (r1, r2, alpha1, alpha2, pw1, pw2, s1, s2)``, powers in units of
-    ``p`` so that no margin under- or overflows at an extreme budget:
+    relay face, the number of Newton systems solved, how the iteration
+    stopped (``"converged"``, ``"collapsed"`` or ``"cap"``), and the last
+    surrogate gap and dual residual.
+
+    The method is primal-dual interior-point (Boyd & Vandenberghe, *Convex
+    Optimization*, §11.7, the reduced Newton system of eq. 11.55) on the
+    lifted program in ``z = (r1, r2, alpha1, alpha2, pw1, pw2, s1, s2)``,
+    powers in units of ``p`` so that no row under- or overflows at an
+    extreme budget:
 
         max  (mu + b) r1 + (1 - mu + b) r2        (b = _TIE_BONUS)
-        s.t. ln2 * r <= ln arg_k   (r = r1, r1, r2, r2, r1 + r2),
-             s_i**2 <= alpha_i * pw_i,  0 <= alpha_i <= 1,
+        s.t. ln2 * r - ln arg_k <= 0   (r = r1, r1, r2, r2, r1 + r2),
+             s_i**2 / alpha_i - pw_i <= 0,  0 <= alpha_i <= 1,
              pw1 + pw2 <= 1,  r_i >= -1.
 
     Each ``arg_k`` is affine in ``z`` (the kernel's ``log_args``, with its
-    slopes from ``table``), so every row is concave. The barrier is
-    ``-log`` of each row's margin and of each ``arg_k``; the latter makes
-    it self-concordant (§9.6), without which Newton steps crawl where an
-    ``arg_k`` varies over decades. Stage ``t`` minimizes ``-t`` times the
-    objective plus the barrier by damped Newton steps, after a tangent step
-    along the central path; ``t`` grows by ``_T_GROWTH`` until the duality
-    gap ``_NU / t`` is at most ``_GAP``.
+    slopes from ``table``), so every row is convex. Each iteration solves
+    one 8x8 Newton system for ``z`` and updates one multiplier per row.
     """
     p, k = obj.p, obj.kernel
     c = np.array([obj.mu + _TIE_BONUS, 1.0 - obj.mu + _TIE_BONUS, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    # rows 0-13: the gradients of the 14 margins; rows 14-18: those of
+    # rows 0-13: the gradients of the 14 rows; rows 14-18: those of
     # ln arg_k. The entries that move with z are set at `cells`: the
     # slopes of ln arg_k in rows 0-4 and 14-18, and the cones' in row 5
-    # (alpha1, pw1, s1) and row 6 (alpha2, pw2, s2).
+    # (alpha1, s1) and row 6 (alpha2, s2).
     rows = np.zeros((19, 8))
-    rows[[0, 1, 4], 0] = rows[[2, 3, 4], 1] = -_LN2
-    rows[[7, 9], [2, 3]] = rows[[12, 13], [0, 1]] = 1.0
-    rows[[8, 10], [2, 3]] = rows[11, [4, 5]] = -1.0
+    rows[[0, 1, 4], 0] = rows[[2, 3, 4], 1] = _LN2
+    rows[[7, 9, 12, 13], [2, 3, 0, 1]] = rows[[5, 6], [4, 5]] = -1.0
+    rows[[8, 10], [2, 3]] = rows[11, [4, 5]] = 1.0
     slopes = [(bound, _INPUT_COLUMNS[v][0], _INPUT_COLUMNS[v][1] * coef * p) for bound, v, coef in k.table]
     cells = [8 * bound + col for bound, col, _ in slopes]
-    cells = np.array(cells + [8 * 14 + cell for cell in cells] + [42, 44, 46, 51, 53, 55])
-    rhs = np.column_stack((c, c))  # minus the gradient, then c
+    cells = np.array(cells + [8 * 14 + cell for cell in cells] + [42, 46, 51, 55])
 
-    def terms(z):
-        """The barrier's 19 arguments at ``z``, the 14 margins and the five
-        ``arg_k``, or None outside its domain."""
+    def rows_at(z):
+        """The 14 rows at ``z`` and the five ``arg_k``, or None outside
+        the domain, where every row is negative."""
         r1, r2, a1, a2, q1, q2, s1, s2 = z
         args = k.log_args(p * (1.0 - a1), p * (1.0 - a2), p * s1, p * s2, p * (1.0 - q2), p * (1.0 - q1))
-        if min(args) <= 0.0:
+        if min(args) <= 0.0 or a1 <= 0.0 or a2 <= 0.0:
             return None
         ln1, ln2, ln3, ln4, ln5 = map(math.log, args)
-        m = (ln1 - _LN2 * r1, ln2 - _LN2 * r1, ln3 - _LN2 * r2, ln4 - _LN2 * r2,
-             ln5 - _LN2 * (r1 + r2), a1 * q1 - s1 * s1, a2 * q2 - s2 * s2,
-             a1, 1.0 - a1, a2, 1.0 - a2, 1.0 - q1 - q2, r1 + 1.0, r2 + 1.0) + args
-        return m if min(m) > 0.0 else None
+        f = (_LN2 * r1 - ln1, _LN2 * r1 - ln2, _LN2 * r2 - ln3, _LN2 * r2 - ln4, _LN2 * (r1 + r2) - ln5,
+             s1 * s1 / a1 - q1, s2 * s2 / a2 - q2, -a1, a1 - 1.0, -a2, a2 - 1.0, q1 + q2 - 1.0, -1.0 - r1, -1.0 - r2)
+        return (np.array(f), args) if max(f) < 0.0 else None
 
-    def newton(z, m, t):
-        """Stage ``t``'s Newton step at ``z``, its squared decrement, and
-        the central path's tangent ``dz/dt``."""
-        _, _, a1, a2, q1, q2, s1, s2 = z.tolist()
-        w = [1.0 / x for x in m]
-        logs = [coef * w[14 + bound] for bound, _, coef in slopes]
-        rows.flat[cells] = logs + logs + [q1, a1, -2.0 * s1, q2, a2, -2.0 * s2]
-        # -log x adds grad(x) grad(x)' / x**2 - hess(x) / x to the Hessian.
-        # A bound's -hess(x) is ln arg_k's gradient squared, a cone's is
-        # added at _CONE_CELLS, and -log arg_k adds ln arg_k's gradient
-        # squared once more.
-        hess = (rows.T * np.array([x * x for x in w[:14]] + [x + 1.0 for x in w[:5]])) @ rows
-        hess.flat[_CONE_CELLS] += [-w[5], -w[5], 2.0 * w[5], -w[6], -w[6], 2.0 * w[6]]
-        rhs[:, 0] = t * c + np.dot(w[:14], rows[:14]) + rows[14:].sum(axis=0)
+    def gradients(z, args, lam):
+        """Set the rows' gradients at ``z``; the dual residual
+        ``max |Df' lam - c|`` there."""
+        _, _, a1, a2, _, _, s1, s2 = z
+        logs = [coef / args[bound] for bound, _, coef in slopes]
+        u1, u2 = s1 / a1, s2 / a2
+        rows.flat[cells] = [-x for x in logs] + logs + [-u1 * u1, 2.0 * u1, -u2 * u2, 2.0 * u2]
+        return float(np.abs(rows[:14].T @ lam - c).max())
+
+    def newton(z, f, lam, t):
+        """The Newton step in ``z`` toward the central point of ``t``, at
+        the gradients ``gradients`` set."""
+        _, _, a1, a2, _, _, s1, s2 = z
+        # sum_i lam_i hess(f_i) + lam_i / -f_i grad(f_i) grad(f_i)': a rate
+        # row's hess is ln arg_k's gradient squared, a cone's is added at
+        # _CONE_CELLS
+        hess = (rows.T * np.concatenate((lam / -f, lam[:5]))) @ rows
+        u1, u2, h1, h2 = s1 / a1, s2 / a2, 2.0 * lam[5] / a1, 2.0 * lam[6] / a2
+        hess.flat[_CONE_CELLS] += [h1 * u1 * u1, -h1 * u1, -h1 * u1, h1, h2 * u2 * u2, -h2 * u2, -h2 * u2, h2]
         hess.flat[::9] *= 1.0 + _RIDGE
-        sol = np.linalg.solve(hess, rhs)
-        return sol[:, 0], float(rhs[:, 0] @ sol[:, 0]), sol[:, 1]
-
-    def descend(z, m, t, d, slope):
-        """Step along ``d`` from ``z``, halving it until the point is in the
-        domain and stage ``t``'s objective falls by ``_ARMIJO`` times the
-        step times ``slope``; None when no step does."""
-        s, cd = 1.0, float(c @ d)
-        # no further than _TO_BOUNDARY of the way to a linear margin's zero
-        for margin, rate in zip(m[7:14], (rows[7:14] @ d).tolist()):
-            if rate < 0.0:
-                s = min(s, _TO_BOUNDARY * margin / -rate)
-        for _ in range(_BACKTRACKS):
-            trial = z + s * d
-            found = terms(trial.tolist())
-            if found is not None:
-                change = -t * s * cd - sum(map(math.log, map(truediv, found, m)))
-                if change <= _ARMIJO * s * slope:
-                    return trial, found
-            s *= 0.5
-        return None
+        return np.linalg.solve(hess, c + (1.0 / t) * (rows[:14].T @ (1.0 / f)))
 
     # a strictly feasible start: half of each user's power repeated, a
-    # third of the relay's coherent per user, rates below every bound
+    # third of the relay's coherent per user, rates below every bound;
+    # lam_i = 1 / -f_i is its central point at t = 1
     bits = [math.log2(a) for a in k.log_args(0.5 * p, 0.5 * p, 0.0, 0.0, 2.0 * p / 3.0, 2.0 * p / 3.0)]
     z = [0.5 * min(bits[0], bits[1], 0.5 * bits[4]) - 0.5, 0.5 * min(bits[2], bits[3], 0.5 * bits[4]) - 0.5,
          0.5, 0.5, 1.0 / 3.0, 1.0 / 3.0, 0.0, 0.0]
-    m = terms(z)
-    z, t = np.array(z), _T_START
-    while True:
-        for _ in range(_NEWTON_STEPS):
-            d, lam2, tangent = newton(z, m, t)
-            if 0.5 * lam2 <= _CENTERED:
-                break
-            found = descend(z, m, t, d, -lam2)
-            if found is None:
-                break
-            z, m = found
-        if _NU / t <= _GAP:
-            return p * float(z[2]), p * float(z[3]), p * float(z[4]), p * float(z[5])
-        t_next = _T_GROWTH * t
-        found = descend(z, m, t_next, (t_next - t) * tangent, 0.0)
+    f, args = rows_at(z)
+    lam, step, stop, gap = -1.0 / f, 1.0, "cap", math.inf
+    for count in range(_ITERATIONS):
+        gap, last = float(-f @ lam), gap
+        residual = gradients(z, args, lam)
+        if gap <= _GAP and (residual <= _DUAL_TOL or step < _STALLED or gap >= last):
+            stop = "converged" if residual <= _DUAL_TOL else "collapsed"
+            break
+        t = (_GROWTH if step >= _SHORT else 1.0) * 14.0 / gap
+        dz = newton(z, f, lam, t)
+        slack = rows[:14] @ dz
+        dlam = (1.0 / t + lam * slack) / -f - lam
+        # at most _TO_BOUNDARY of the way to a multiplier's zero or a
+        # linearized row's zero, then halved until the point is back in the
+        # domain: at the latest at step 0, where it is z, unless dz is not
+        # finite
+        rate = float(np.concatenate((dlam / -lam, slack / -f)).max())
+        step, base = 1.0 if rate <= _TO_BOUNDARY else _TO_BOUNDARY / rate, np.array(z)
+        while (found := rows_at(trial := (base + step * dz).tolist())) is None and step > 0.0:
+            step *= 0.5
         if found is not None:
-            z, m = found
-        t = t_next
+            z, lam, (f, args) = trial, lam + step * dlam, found
+    else:
+        count = _ITERATIONS
+    return (p * z[2], p * z[3], p * z[4], p * z[5]), count, stop, gap, residual
 
 
 def _bin_need(k: RateKernel, s1: float, s2: float, pw1: float, pw2: float,
@@ -516,7 +515,7 @@ def _certify(obj: _Objective, res: SolveResult, x) -> bool:
     """Guard against a misjudged borderline cell for a closed-form candidate.
 
     The candidate is discarded, and the numeric path decides, when the
-    barrier's optimum ``x`` beats it on the relay-budget face by more than
+    numeric optimum ``x`` beats it on the relay-budget face by more than
     ``1e-9 * max(1, |value|)``. Inside (R2,T3)/(R2,T4) the closed form is
     provably optimal.
     """
@@ -550,7 +549,8 @@ def solve(g: LinkGains, mu: float, method: str = "auto") -> SolveResult:
     if g.p == 0.0:
         return _result(g, mu, PowerAllocation(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), "trivial")
     obj = _Objective(g, mu)
-    x = _barrier(obj)
+    x, *stats = _primal_dual(obj)
+    _LOG.debug("numeric solve: %d Newton systems, stopped %s, gap %.3g, dual residual %.3g", *stats)
     if method == "auto" and mu > 0.5:
         reg = classify(g)
         if reg.side_condition_holds and reg.cell in (("R2", "T3"), ("R2", "T4")):

@@ -170,7 +170,7 @@ class RateKernel:
     ``arg_k = c_k + A_k . v``, so ``d j_k / d v_i = A_ki / (arg_k ln 2)``.
     ``table`` holds the nonzero ``A_ki`` as ``(k, i, A_ki)`` triples, ``k``
     in 0..4 and each row in input order: the one source of derivative
-    entries (the barrier's Newton steps, dual recovery).
+    entries (the solver's Newton systems, dual recovery).
     """
 
     __slots__ = ("relay1", "relay2", "beam1", "beam2", "direct1", "direct2",

@@ -1,0 +1,115 @@
+"""Three corpora of solver inputs, and the Newton systems ``solve`` spends
+on them.
+
+Each corpus is a list of ``(LinkGains, mu)`` pairs:
+
+* ``random_gains``: 100 draws of ``helpers.random_gains(Random(3))``, at
+  five weights;
+* ``extreme``: 250 draws from ``Random(12)`` at five weights, amplitudes
+  log-uniform in [1e-3, 1e3] and each exactly 0 with probability 0.15,
+  ``p`` log-uniform in [1e-6, 1e4];
+* ``profile``: the gains ``relay_power_profile`` solves at mu = 3/4 and
+  p = 1 (41 relay positions on the segment between users 20 m apart) for
+  six exponent pairs from ``Random(20)``, gamma1 uniform in [2.0, 2.6]
+  and gamma2 in [3.0, 4.0].
+
+``solve_stats`` collects what ``solve`` logs at DEBUG on the
+``twrc.optimizer`` logger for each numeric solve: the Newton systems,
+how the iteration stopped, the final surrogate gap and dual residual.
+
+Run from a checkout as ``python tests/solver_corpus.py`` to print, per
+corpus, the Newton systems per solve (mean and max) and the stop-reason
+counts.
+"""
+
+from __future__ import annotations
+
+import logging
+import math
+import random
+import sys
+from collections import Counter
+from contextlib import contextmanager
+from pathlib import Path
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from twrc import Geometry, LinkGains, gains_from_geometry, solve  # noqa: E402
+
+from helpers import random_gains  # noqa: E402
+
+MUS = (0.0, 0.25, 0.5, 0.75, 1.0)
+PROFILE_SAMPLES = 41
+
+
+def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def random_gains_corpus() -> list[tuple[LinkGains, float]]:
+    rng = random.Random(3)
+    return [(g, mu) for g in [random_gains(rng) for _ in range(100)] for mu in MUS]
+
+
+def extreme_corpus() -> list[tuple[LinkGains, float]]:
+    rng = random.Random(12)
+    draws = []
+    for _ in range(250):
+        amps = [0.0 if rng.random() < 0.15 else _log_uniform(rng, 1e-3, 1e3) for _ in range(6)]
+        draws.append(LinkGains(*amps, p=_log_uniform(rng, 1e-6, 1e4)))
+    return [(g, mu) for g in draws for mu in MUS]
+
+
+def profile_corpus() -> list[tuple[LinkGains, float]]:
+    rng = random.Random(20)
+    corpus = []
+    for _ in range(6):
+        geom = Geometry(gamma1=rng.uniform(2.0, 2.6), gamma2=rng.uniform(3.0, 4.0))
+        (sx, sy), (ex, ey) = geom.user1, geom.user2
+        for k in range(PROFILE_SAMPLES):
+            t = (k + 1) / (PROFILE_SAMPLES + 1)
+            relay = (sx + t * (ex - sx), sy + t * (ey - sy))
+            corpus.append((gains_from_geometry(geom.with_relay(relay), p=1.0), 0.75))
+    return corpus
+
+
+CORPORA = {"random_gains": random_gains_corpus, "extreme": extreme_corpus, "profile": profile_corpus}
+
+
+@contextmanager
+def solve_stats():
+    """A list that fills, inside the block, with one ``(newton_systems,
+    stop, gap, dual_residual)`` tuple per numeric solve."""
+    stats: list[tuple] = []
+
+    class Collect(logging.Handler):
+        def emit(self, record):
+            stats.append(record.args)
+
+    logger = logging.getLogger("twrc.optimizer")
+    handler, level = Collect(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield stats
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def main() -> None:
+    for name, build in CORPORA.items():
+        corpus = build()
+        with solve_stats() as stats:
+            for g, mu in corpus:
+                solve(g, mu)
+        counts = [s[0] for s in stats]
+        stops = Counter(s[1] for s in stats)
+        print(f"{name}: {len(corpus)} solves, {len(counts)} numeric; Newton systems per solve "
+              f"mean {sum(counts) / len(counts):.2f}, max {max(counts)}; stops "
+              + ", ".join(f"{reason} {stops[reason]}" for reason in ("converged", "collapsed", "cap")))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,4 +1,5 @@
 import ast
+import logging
 import math
 import random
 from dataclasses import replace
@@ -34,6 +35,8 @@ from helpers import (
     random_gains,
     sample_cell,
 )
+import solver_corpus
+from solver_corpus import solve_stats
 
 
 class TestSolveBasics:
@@ -333,9 +336,9 @@ def test_a_zero_relay_to_user_link_never_labels_its_sender_binned(amps, p, zero)
 # seed-refine-polish-poll solver stalled on the face alpha_i = pw_i = 0,
 # 2.5e-4 to 4.5e-3 bits below it (A-F as pinned in bench/inputs.py, G draw
 # 2 of random_gains(Random(3))). On L1-L3 a log2 argument varies over
-# decades between two barrier stages: without -log arg_k in the barrier,
-# or with a stage cut at 50 Newton steps, the solve ended 1e-3 to 4e-2
-# bits below it.
+# decades between two stages of the former log-barrier solver: without
+# -log arg_k in its barrier, or with a stage cut at 50 Newton steps, the
+# solve ended 1e-3 to 4e-2 bits below it.
 _HARD = {
     "A": (dict(g12=1.7506298023965636, g21=0.7065018674621684, g1r=0.12569960453950946,
                gr1=1.437100152064607, g2r=0.05223671591704307, gr2=1.9130121528748816,
@@ -377,14 +380,58 @@ def test_hard_instance_reaches_the_lattice(name):
     assert solve(g, mu).weighted_sum >= grid_best(g, [mu], step=g.p / 24)[0] - 1e-9
 
 
+_H = LinkGains(g12=0.4069396116962378, g21=0.10536807650263909, g1r=0.1258132156560926,
+              gr1=0.8938011976944921, g2r=0.05586913046189336, gr2=0.9675531641540047,
+              p=1.8368001700255328)
+
+
 def test_former_stall_h_clears_its_old_value():
     # draw 73 of random_gains(Random(3)); the former solver's value at
     # mu = 1/4 beat the p/40 lattice, but a restart from alpha1 = 0.05 p
     # gained 1.98e-4 bits on it
-    g = LinkGains(g12=0.4069396116962378, g21=0.10536807650263909, g1r=0.1258132156560926,
-                  gr1=0.8938011976944921, g2r=0.05586913046189336, gr2=0.9675531641540047,
-                  p=1.8368001700255328)
-    assert solve(g, 0.25).weighted_sum >= 0.44032690217255466 + 1.9e-4
+    assert solve(_H, 0.25).weighted_sum >= 0.44032690217255466 + 1.9e-4
+
+
+# Corpus solves (solver_corpus.py) where the surrogate gap reached the rows'
+# rounding floor while the duals were still infeasible, next to a cone's
+# alpha_i = pw_i = s_i = 0 corner. Stopping only on a feasible dual or a
+# step shorter than 1e-2, the primal-dual iteration took 56 to 179 Newton
+# systems on them; the collapse rule's "gap did not fall" clause stops it
+# at the floor.
+_FLOOR = {"random_gains": (66, 78, 106, 127, 176, 182), "extreme": (562, 637, 993)}
+
+
+def _converging_cases():
+    cases = [pytest.param(LinkGains(**gains), mu, id=name) for name, (gains, mu) in sorted(_HARD.items())]
+    cases.append(pytest.param(_H, 0.25, id="H"))
+    for corpus, indices in _FLOOR.items():
+        built = solver_corpus.CORPORA[corpus]()
+        cases += [pytest.param(*built[i], id=f"{corpus}-{i}") for i in indices]
+    return cases
+
+
+@pytest.mark.parametrize("g, mu", _converging_cases())
+def test_primal_dual_stops_before_its_cap_at_the_lattice(g, mu):
+    with solve_stats() as stats:
+        value = solve(g, mu).weighted_sum
+    (count, stop, gap, _), = stats
+    assert stop in ("converged", "collapsed") and count < optimizer._ITERATIONS
+    assert gap <= optimizer._GAP
+    assert value >= grid_best(g, [mu], step=g.p / 24)[0] - 1e-9
+
+
+def test_one_debug_record_per_numeric_solve(caplog):
+    caplog.set_level(logging.DEBUG, logger="twrc.optimizer")
+    solve(_ZERO_BUDGET, 0.5)
+    assert not caplog.records
+    solve(R3T5_GAINS, 0.75)
+    solve(R2T3_GAINS, 0.75)  # the closed form, checked against the numeric optimum
+    assert [r.name for r in caplog.records] == ["twrc.optimizer"] * 2
+    for record in caplog.records:
+        assert record.levelno == logging.DEBUG
+        count, stop, gap, residual = record.args
+        assert count > 0 and stop == "converged" and gap <= optimizer._GAP and residual <= 1e-6
+        assert f"{count} Newton systems, stopped {stop}" in record.getMessage()
 
 
 _AMPLITUDES = st.sampled_from((0.0,)) | _DECADES
@@ -402,7 +449,9 @@ def test_solve_holds_on_extreme_inputs(amps, p, mu):
     # add g1r = g2r = 0, where no bound reads pw_i or s_i, and a budget
     # whose square underflows
     g = LinkGains(*amps, p=p)
-    res = solve(g, mu)
+    with solve_stats() as stats:
+        res = solve(g, mu)
+    assert all(stop != "cap" for _, stop, _, _ in stats)
     validate_allocation(res.allocation, p)
     value = res.weighted_sum
     assert value >= grid_best(g, [mu], step=p / 6)[0] - 1e-9 * max(1.0, abs(value))
@@ -489,18 +538,18 @@ def test_reported_rates_lie_inside_their_own_pentagon(seed):
 
 
 def test_derivative_code_reads_no_gain_product():
-    """The barrier solve (``_barrier`` with its Newton step ``newton``) and
-    ``_recover_duals`` take every derivative entry of a rate bound from
-    ``RateKernel.table``; neither reads a gain product."""
+    """The primal-dual solve (``_primal_dual`` with its Newton step
+    ``newton``) and ``_recover_duals`` take every derivative entry of a rate
+    bound from ``RateKernel.table``; neither reads a gain product."""
     products = set(RateKernel.__slots__) - {"table"}
     tree = ast.parse(Path(optimizer.__file__).read_text(encoding="utf-8"))
     checked, reads = [], []
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in ("_barrier", "newton", "_recover_duals"):
+        if isinstance(node, ast.FunctionDef) and node.name in ("_primal_dual", "newton", "_recover_duals"):
             checked.append(node.name)
             reads += [f"{node.name}:{n.lineno}.{n.attr}" for n in ast.walk(node)
                       if isinstance(n, ast.Attribute) and n.attr in products]
-    assert sorted(checked) == ["_barrier", "_recover_duals", "newton"]
+    assert sorted(checked) == ["_primal_dual", "_recover_duals", "newton"]
     assert not reads, reads
 
 
