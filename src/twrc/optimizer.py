@@ -24,19 +24,17 @@ Newton system and one multiplier update per iteration, whose answer
 logs its Newton-system count, how it stopped, its surrogate gap and its
 dual residual as one DEBUG record on this module's logger. A closed-form
 shortcut covers cells (R2,T3) and (R2,T4), where it is provably optimal,
-and ``_certify`` keeps it only when the numeric optimum does not beat it;
-the (R2,T5) closed form is exposed separately because it is not optimal
-on all of its cell.
+and ``_certify`` keeps it only when its own weighted sum is not beaten by
+the numeric optimum's; the (R2,T5) closed form is exposed separately
+because it is not optimal on all of its cell.
 
 Every rate bound, in the interior-point solve, the finalize step and dual
 recovery, is evaluated by :class:`~twrc.rate_region.RateKernel`, every
 derivative entry of a bound (the Newton systems, dual recovery) is read
 from the kernel's ``table``, and every pentagon corner comes from
-:func:`~twrc.rate_region.pentagon_corner`. The scalar objective that the
-finalize step and the closed-form check evaluate is the kernel's flat
-fast path, :meth:`~twrc.rate_region.RateKernel.face_objective`,
-bit-identical to those two composed (a hypothesis test compares them
-with ``==``).
+:func:`~twrc.rate_region.pentagon_corner`. The scalar points that the
+finalize step and the closed-form check evaluate go through one path,
+``_Objective.corners``: the kernel's ``bounds``, then the corner.
 
 Every path, the zero-budget answer, the numeric optimum and both closed
 forms, ends in ``_result``, the one place a :class:`SolveResult` is
@@ -66,7 +64,6 @@ from .rate_region import (
     RatePoint,
     allocation_inputs,
     best_weighted_point,
-    compute_constraints,
     pentagon_corner,
     validate_allocation,
     validate_mu,
@@ -188,15 +185,13 @@ class _Objective:
     ``beta3 = p - pw1 - pw2``: its kernel, its scalar value and its
     corners."""
 
-    __slots__ = ("p", "mu", "favor1", "kernel", "flat")
+    __slots__ = ("p", "mu", "favor1", "kernel")
 
     def __init__(self, g: LinkGains, mu: float):
         self.p = g.p
         self.mu = mu
         self.favor1 = mu >= 0.5
         self.kernel = RateKernel(g)
-        # value of (alpha1, alpha2, pw1, pw2) as four floats, no tuple
-        self.flat = self.kernel.face_objective(g.p, mu, _TIE_BONUS)
 
     def corners(self, x: Sequence[float]) -> list[tuple[float, float]]:
         """The pentagon corners of ``x`` a result reports: the one ``mu``
@@ -207,7 +202,10 @@ class _Objective:
         return [pentagon_corner(*j, favor1) for favor1 in ((True, False) if self.mu == 0.5 else (self.favor1,))]
 
     def value(self, x: Sequence[float]) -> float:
-        return self.flat(*x)
+        """The weighted sum plus ``_TIE_BONUS * (r1 + r2)`` at the corner
+        ``mu`` favors."""
+        r1, r2 = self.corners(x)[0]
+        return self.mu * r1 + (1.0 - self.mu) * r2 + _TIE_BONUS * (r1 + r2)
 
 
 def _primal_dual(obj: _Objective) -> tuple[tuple[float, float, float, float], int, str, float, float]:
@@ -432,10 +430,11 @@ def _recover_duals(k: RateKernel, p: float, mu: float, alloc: PowerAllocation,
 def _result(g: LinkGains, mu: float, alloc: PowerAllocation, method: str) -> SolveResult:
     """The one place a :class:`SolveResult` is built, on one evaluation of
     ``alloc``: one :class:`RateKernel`, the ``log2`` arguments ``args`` and
-    the bounds ``cons`` (:func:`compute_constraints` without its check of
-    ``g``, which every caller has made). From them come the rates at the
-    corner ``mu`` favors, the other corner at ``mu = 1/2`` when it differs
-    by more than 1e-12, the labels and the duals."""
+    the bounds ``cons`` (:func:`~twrc.rate_region.compute_constraints`
+    without its check of ``g``, which every caller has made). From them
+    come the rates at the corner ``mu`` favors, the other corner at
+    ``mu = 1/2`` when it differs by more than 1e-12, the labels and the
+    duals."""
     validate_allocation(alloc, g.p)
     k = RateKernel(g)
     args = k.log_args(*allocation_inputs(alloc))
@@ -490,38 +489,35 @@ def _finalize(obj: _Objective, g: LinkGains, mu: float, x, method: str) -> Solve
     return _result(g, mu, alloc, method)
 
 
-def _closed_form_r2t34(g: LinkGains, mu: float) -> Optional[SolveResult]:
+def _closed_form_r2t34(g: LinkGains, mu: float) -> SolveResult:
     """Both users independent: full fresh power, minimal bin power.
 
     :func:`solve` calls this only in cells (R2,T3) and (R2,T4) with the
     side condition, and :func:`min_relay_power` reads the thresholds
     :func:`classify` compares against, so that call does not raise
-    :class:`WrongRegimeError`.
+    :class:`WrongRegimeError`. :func:`_certify` decides whether the
+    result stands.
     """
     p = g.p
     alloc = PowerAllocation(0.0, p, 0.0, p, 0.0, 0.0, min_relay_power(g))
-    res = _result(g, mu, alloc, "closed-form-r2t34")
-    cons = compute_constraints(g, alloc)
-    # the construct must bind the relay-decoding constraints; otherwise
-    # the cell was misjudged (e.g. borderline floats) and the numeric
-    # path should decide
-    r1, r2 = res.rates.r1, res.rates.r2
-    if abs(r1 - cons.j1) > 1e-9 * (1.0 + cons.j1) or abs(r1 + r2 - cons.j5) > 1e-9 * (1.0 + cons.j5):
-        return None
-    return res
+    return _result(g, mu, alloc, "closed-form-r2t34")
 
 
 def _certify(obj: _Objective, res: SolveResult, x) -> bool:
-    """Guard against a misjudged borderline cell for a closed-form candidate.
+    """The one guard on a closed-form candidate ``res``, against a
+    misjudged borderline cell.
 
     The candidate is discarded, and the numeric path decides, when the
-    numeric optimum ``x`` beats it on the relay-budget face by more than
-    ``1e-9 * max(1, |value|)``. Inside (R2,T3)/(R2,T4) the closed form is
-    provably optimal.
+    numeric optimum ``x`` has a larger weighted sum, at the corner ``mu``
+    favors, than ``_result``'s value for ``res`` by more than
+    ``1e-9 * max(1, |value|)``. That covers a misjudged face, where the
+    numeric optimum wins, and a bin power too small for the corner,
+    where the candidate's own rates fall. The tie bonus stays out: at
+    ``mu = 1`` with ``r1 << r2`` it can exceed the tolerance. Inside
+    (R2,T3)/(R2,T4) the closed form is provably optimal.
     """
-    alloc = res.allocation
-    value = obj.value((alloc.alpha1, alloc.alpha2, alloc.pw1, alloc.pw2))
-    return obj.value(x) <= value + 1e-9 * max(1.0, abs(value))
+    value = res.weighted_sum
+    return RatePoint(*obj.corners(x)[0]).weighted_sum(obj.mu) <= value + 1e-9 * max(1.0, abs(value))
 
 
 def solve(g: LinkGains, mu: float, method: str = "auto") -> SolveResult:
@@ -555,7 +551,7 @@ def solve(g: LinkGains, mu: float, method: str = "auto") -> SolveResult:
         reg = classify(g)
         if reg.side_condition_holds and reg.cell in (("R2", "T3"), ("R2", "T4")):
             candidate = _closed_form_r2t34(g, mu)
-            if candidate is not None and _certify(obj, candidate, x):
+            if _certify(obj, candidate, x):
                 return candidate
     return _finalize(obj, g, mu, x, "numeric")
 

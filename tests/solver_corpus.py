@@ -1,5 +1,5 @@
-"""Three corpora of solver inputs, and the Newton systems ``solve`` spends
-on them.
+"""Four corpora of solver inputs, the Newton systems ``solve`` spends on
+them, and a digest of its answers.
 
 Each corpus is a list of ``(LinkGains, mu)`` pairs:
 
@@ -11,19 +11,32 @@ Each corpus is a list of ``(LinkGains, mu)`` pairs:
 * ``profile``: the gains ``relay_power_profile`` solves at mu = 3/4 and
   p = 1 (41 relay positions on the segment between users 20 m apart) for
   six exponent pairs from ``Random(20)``, gamma1 uniform in [2.0, 2.6]
-  and gamma2 in [3.0, 4.0].
+  and gamma2 in [3.0, 4.0];
+* ``closed_form``: ``helpers.sample_cell(Random(21), ...)`` draws in
+  cells (R2,T3) and (R2,T4), 20 per cell at each margin 0.05 and 1e-6,
+  at mu = 0.6, 3/4 and 1, where ``solve`` tries its closed form.
 
 ``solve_stats`` collects what ``solve`` logs at DEBUG on the
 ``twrc.optimizer`` logger for each numeric solve: the Newton systems,
 how the iteration stopped, the final surrogate gap and dual residual.
 
+``digest`` hashes a list of results: sha256 over each
+``solve(...).to_dict()`` as sorted-key JSON, every float as
+``float.hex``, so two checkouts that print the same digest answered
+every solve bit for bit alike.
+
 Run from a checkout as ``python tests/solver_corpus.py`` to print, per
-corpus, the Newton systems per solve (mean and max) and the stop-reason
-counts.
+corpus, the Newton systems per solve (mean and max), the stop-reason
+counts, the number of closed-form results and the digest. To compare a
+change with its parent, unpack the parent (``git archive HEAD~1 | tar -x
+-C DIR``), copy this script into ``DIR/tests`` if it predates the
+digest, and run it in both trees.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import math
 import random
@@ -37,10 +50,11 @@ if __name__ == "__main__":
 
 from twrc import Geometry, LinkGains, gains_from_geometry, solve  # noqa: E402
 
-from helpers import random_gains  # noqa: E402
+from helpers import random_gains, sample_cell  # noqa: E402
 
 MUS = (0.0, 0.25, 0.5, 0.75, 1.0)
 PROFILE_SAMPLES = 41
+CLOSED_FORM_MUS = (0.6, 0.75, 1.0)
 
 
 def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -74,7 +88,32 @@ def profile_corpus() -> list[tuple[LinkGains, float]]:
     return corpus
 
 
-CORPORA = {"random_gains": random_gains_corpus, "extreme": extreme_corpus, "profile": profile_corpus}
+def closed_form_corpus() -> list[tuple[LinkGains, float]]:
+    rng = random.Random(21)
+    draws = [sample_cell(rng, "R2", t, margin) for t in ("T3", "T4") for margin in (0.05, 1e-6) for _ in range(20)]
+    return [(g, mu) for g in draws for mu in CLOSED_FORM_MUS]
+
+
+CORPORA = {"random_gains": random_gains_corpus, "extreme": extreme_corpus, "profile": profile_corpus,
+           "closed_form": closed_form_corpus}
+
+
+def _hexed(value):
+    """``value`` with every float replaced by its ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _hexed(item) for key, item in value.items()}
+    return value
+
+
+def digest(results) -> str:
+    """sha256 of the results' ``to_dict()``, floats as ``float.hex``."""
+    h = hashlib.sha256()
+    for res in results:
+        h.update(json.dumps(_hexed(res.to_dict()), sort_keys=True).encode())
+        h.update(b"\n")
+    return h.hexdigest()
 
 
 @contextmanager
@@ -102,13 +141,14 @@ def main() -> None:
     for name, build in CORPORA.items():
         corpus = build()
         with solve_stats() as stats:
-            for g, mu in corpus:
-                solve(g, mu)
+            results = [solve(g, mu) for g, mu in corpus]
         counts = [s[0] for s in stats]
         stops = Counter(s[1] for s in stats)
+        closed = sum(res.method.startswith("closed-form") for res in results)
         print(f"{name}: {len(corpus)} solves, {len(counts)} numeric; Newton systems per solve "
               f"mean {sum(counts) / len(counts):.2f}, max {max(counts)}; stops "
-              + ", ".join(f"{reason} {stops[reason]}" for reason in ("converged", "collapsed", "cap")))
+              + ", ".join(f"{reason} {stops[reason]}" for reason in ("converged", "collapsed", "cap"))
+              + f"; closed form {closed}; sha256 {digest(results)}")
 
 
 if __name__ == "__main__":

@@ -298,6 +298,23 @@ def test_every_path_reports_its_allocations_best_corner(run, g, mu, method):
     assert res.ambiguous == (g is _CORNER_TIE)
 
 
+@pytest.mark.parametrize("g, regime, bin_power", [
+    # a bin power too small for the corner: the candidate's own rates fall
+    (R2T3_GAINS, None, lambda g: min_relay_power(g) / 2.0),
+    # a misjudged cell: the numeric optimum beats full binning
+    (R3T5_GAINS, classify(R2T3_GAINS), lambda g: g.p),
+], ids=["short-bin-power", "misjudged-cell"])
+def test_certify_hands_a_losing_closed_form_to_the_numeric_path(monkeypatch, g, regime, bin_power):
+    built = []
+    monkeypatch.setattr(optimizer, "min_relay_power", lambda g: built.append(g) or bin_power(g))
+    if regime is not None:
+        monkeypatch.setattr(optimizer, "classify", lambda g: regime)
+    res = solve(g, 0.75)
+    assert built == [g]
+    assert res.method == "numeric"
+    assert res.to_dict() == solve(g, 0.75, method="numeric").to_dict()
+
+
 class TestZeroRelayToUserLink:
     # g2r = 0: the relay cannot reach user 2, so bin power cannot carry
     # user 1's message and only user 2's need sets beta3
@@ -557,10 +574,11 @@ def test_one_kernel_per_result_and_one_bin_need_rule():
     """In ``optimizer.py`` only ``_Objective.__init__`` and ``_result`` build
     a ``RateKernel``, so a result is evaluated once, and only ``_bin_need``
     calls ``user_snrs``, so the minimum bin power and the labels share one
-    rule."""
+    rule. Nothing calls ``compute_constraints``, which would build a second
+    kernel and evaluate a result again."""
     tree = ast.parse(Path(optimizer.__file__).read_text(encoding="utf-8"))
     allowed = {"RateKernel": {"_Objective.__init__", "_result"}, "user_snrs": {"_bin_need"}}
-    calls = []
+    calls, second = [], []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -569,6 +587,8 @@ def test_one_kernel_per_result_and_one_bin_need_rule():
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 if name in allowed:
                     calls.append((name, scope))
+                elif name == "compute_constraints":
+                    second.append(scope)
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 inner = child.name if scope is None else f"{scope}.{child.name}"
@@ -577,3 +597,4 @@ def test_one_kernel_per_result_and_one_bin_need_rule():
     visit(tree, None)
     assert {name for name, _ in calls} == set(allowed)
     assert all(scope in allowed[name] for name, scope in calls), calls
+    assert not second, second
