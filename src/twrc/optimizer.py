@@ -24,7 +24,7 @@ Newton system and one multiplier update per iteration, whose answer
 logs its Newton-system count, how it stopped, its surrogate gap and its
 dual residual as one DEBUG record on this module's logger. A closed-form
 shortcut covers cells (R2,T3) and (R2,T4), where it is provably optimal,
-and ``_certify`` keeps it only when its own weighted sum is not beaten by
+and ``solve`` keeps it only when its own weighted sum is not beaten by
 the numeric optimum's; the (R2,T5) closed form is exposed separately
 because it is not optimal on all of its cell.
 
@@ -34,7 +34,7 @@ derivative entry of a bound (the Newton systems, dual recovery) is read
 from the kernel's ``table``, and every pentagon corner comes from
 :func:`~twrc.rate_region.pentagon_corner`. The scalar points that the
 finalize step and the closed-form check evaluate go through one path,
-``_Objective.corners``: the kernel's ``bounds``, then the corner.
+``_corners``: the kernel's ``bounds``, then the corner.
 
 Every path, the zero-budget answer, the numeric optimum and both closed
 forms, ends in ``_result``, the one place a :class:`SolveResult` is
@@ -164,7 +164,11 @@ class SolveResult:
     mu: float
     method: str = "numeric"
     alternate_rates: Optional[RatePoint] = None
-    ambiguous: bool = False
+
+    @property
+    def ambiguous(self) -> bool:
+        """True when ``alternate_rates`` holds a second corner (``mu = 1/2``)."""
+        return self.alternate_rates is not None
 
     def to_dict(self) -> dict:
         return {
@@ -180,35 +184,18 @@ class SolveResult:
         }
 
 
-class _Objective:
-    """The reduced 4-variable program on the relay face
-    ``beta3 = p - pw1 - pw2``: its kernel, its scalar value and its
-    corners."""
-
-    __slots__ = ("p", "mu", "favor1", "kernel")
-
-    def __init__(self, g: LinkGains, mu: float):
-        self.p = g.p
-        self.mu = mu
-        self.favor1 = mu >= 0.5
-        self.kernel = RateKernel(g)
-
-    def corners(self, x: Sequence[float]) -> list[tuple[float, float]]:
-        """The pentagon corners of ``x`` a result reports: the one ``mu``
-        favors and, at ``mu = 1/2``, where the two tie, the other too."""
-        a1, a2, q1, q2 = x
-        p = self.p
-        j = self.kernel.bounds(p - a1, p - a2, math.sqrt(q1 * a1), math.sqrt(q2 * a2), p - q2, p - q1)
-        return [pentagon_corner(*j, favor1) for favor1 in ((True, False) if self.mu == 0.5 else (self.favor1,))]
-
-    def value(self, x: Sequence[float]) -> float:
-        """The weighted sum plus ``_TIE_BONUS * (r1 + r2)`` at the corner
-        ``mu`` favors."""
-        r1, r2 = self.corners(x)[0]
-        return self.mu * r1 + (1.0 - self.mu) * r2 + _TIE_BONUS * (r1 + r2)
+def _corners(k: RateKernel, p: float, mu: float, x: Sequence[float]) -> list[tuple[float, float]]:
+    """The pentagon corners of the powers ``x = (alpha1, alpha2, pw1, pw2)``
+    on the relay face ``beta3 = p - pw1 - pw2`` that a result reports: the
+    one ``mu`` favors and, at ``mu = 1/2``, where the two tie, the other
+    too."""
+    a1, a2, q1, q2 = x
+    j = k.bounds(p - a1, p - a2, math.sqrt(q1 * a1), math.sqrt(q2 * a2), p - q2, p - q1)
+    return [pentagon_corner(*j, favor1) for favor1 in ((True, False) if mu == 0.5 else (mu > 0.5,))]
 
 
-def _primal_dual(obj: _Objective) -> tuple[tuple[float, float, float, float], int, str, float, float]:
+def _primal_dual(k: RateKernel, p: float,
+                 mu: float) -> tuple[tuple[float, float, float, float], int, str, float, float]:
     """``(alpha1, alpha2, pw1, pw2)`` maximizing the weighted sum on the
     relay face, the number of Newton systems solved, how the iteration
     stopped (``"converged"``, ``"collapsed"`` or ``"cap"``), and the last
@@ -229,8 +216,7 @@ def _primal_dual(obj: _Objective) -> tuple[tuple[float, float, float, float], in
     slopes from ``table``), so every row is convex. Each iteration solves
     one 8x8 Newton system for ``z`` and updates one multiplier per row.
     """
-    p, k = obj.p, obj.kernel
-    c = np.array([obj.mu + _TIE_BONUS, 1.0 - obj.mu + _TIE_BONUS, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    c = np.array([mu + _TIE_BONUS, 1.0 - mu + _TIE_BONUS, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     # rows 0-13: the gradients of the 14 rows; rows 14-18: those of
     # ln arg_k. The entries that move with z are set at `cells`: the
     # slopes of ln arg_k in rows 0-4 and 14-18, and the cones' in row 5
@@ -454,19 +440,25 @@ def _result(g: LinkGains, mu: float, alloc: PowerAllocation, method: str) -> Sol
         mu=mu,
         method=method,
         alternate_rates=alternate,
-        ambiguous=alternate is not None,
     )
 
 
-def _finalize(obj: _Objective, g: LinkGains, mu: float, x, method: str) -> SolveResult:
+def _finalize(k: RateKernel, g: LinkGains, mu: float, x) -> SolveResult:
     p = g.p
-    val = obj.value(x)
+
+    def value(x):
+        """The weighted sum plus ``_TIE_BONUS * (r1 + r2)`` at the corner
+        ``mu`` favors."""
+        r1, r2 = _corners(k, p, mu, x)[0]
+        return mu * r1 + (1.0 - mu) * r2 + _TIE_BONUS * (r1 + r2)
+
+    val = value(x)
     snap_tol = _SNAP_TOL * max(1.0, abs(val))
     # zero each coherent power, then each repeated power with its partner
     for zeroed in ((2,), (3,), (0, 2), (1, 3)):
         if x[zeroed[0]] > 0.0:
             cand = tuple(0.0 if i in zeroed else v for i, v in enumerate(x))
-            v = obj.value(cand)
+            v = value(cand)
             if v >= val - snap_tol:
                 x, val = cand, v
     # a zero repeated-message power cannot support coherent relay power
@@ -481,43 +473,12 @@ def _finalize(obj: _Objective, g: LinkGains, mu: float, x, method: str) -> Solve
         # no coherent power: the least bin power that keeps the reported
         # corners, both of them at mu = 1/2
         s1, s2 = math.sqrt(q1 * a1), math.sqrt(q2 * a2)
-        beta3 = min(max(max(_bin_need(obj.kernel, s1, s2, q1, q2, *r)) for r in obj.corners(x)), beta3)
+        beta3 = min(max(max(_bin_need(k, s1, s2, q1, q2, *r)) for r in _corners(k, p, mu, x)), beta3)
     alloc = PowerAllocation(
         alpha1=a1, beta1=p - a1, alpha2=a2, beta2=p - a2,
         pw1=q1, pw2=q2, beta3=max(float(beta3), 0.0),
     )
-    return _result(g, mu, alloc, method)
-
-
-def _closed_form_r2t34(g: LinkGains, mu: float) -> SolveResult:
-    """Both users independent: full fresh power, minimal bin power.
-
-    :func:`solve` calls this only in cells (R2,T3) and (R2,T4) with the
-    side condition, and :func:`min_relay_power` reads the thresholds
-    :func:`classify` compares against, so that call does not raise
-    :class:`WrongRegimeError`. :func:`_certify` decides whether the
-    result stands.
-    """
-    p = g.p
-    alloc = PowerAllocation(0.0, p, 0.0, p, 0.0, 0.0, min_relay_power(g))
-    return _result(g, mu, alloc, "closed-form-r2t34")
-
-
-def _certify(obj: _Objective, res: SolveResult, x) -> bool:
-    """The one guard on a closed-form candidate ``res``, against a
-    misjudged borderline cell.
-
-    The candidate is discarded, and the numeric path decides, when the
-    numeric optimum ``x`` has a larger weighted sum, at the corner ``mu``
-    favors, than ``_result``'s value for ``res`` by more than
-    ``1e-9 * max(1, |value|)``. That covers a misjudged face, where the
-    numeric optimum wins, and a bin power too small for the corner,
-    where the candidate's own rates fall. The tie bonus stays out: at
-    ``mu = 1`` with ``r1 << r2`` it can exceed the tolerance. Inside
-    (R2,T3)/(R2,T4) the closed form is provably optimal.
-    """
-    value = res.weighted_sum
-    return RatePoint(*obj.corners(x)[0]).weighted_sum(obj.mu) <= value + 1e-9 * max(1.0, abs(value))
+    return _result(g, mu, alloc, "numeric")
 
 
 def solve(g: LinkGains, mu: float, method: str = "auto") -> SolveResult:
@@ -542,18 +503,30 @@ def solve(g: LinkGains, mu: float, method: str = "auto") -> SolveResult:
     mu = validate_mu(mu)
     if method not in ("auto", "numeric"):
         raise ValidationError(f"method must be 'auto' or 'numeric', got {method!r}")
-    if g.p == 0.0:
+    p = g.p
+    if p == 0.0:
         return _result(g, mu, PowerAllocation(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), "trivial")
-    obj = _Objective(g, mu)
-    x, *stats = _primal_dual(obj)
+    k = RateKernel(g)
+    x, *stats = _primal_dual(k, p, mu)
     _LOG.debug("numeric solve: %d Newton systems, stopped %s, gap %.3g, dual residual %.3g", *stats)
     if method == "auto" and mu > 0.5:
         reg = classify(g)
         if reg.side_condition_holds and reg.cell in (("R2", "T3"), ("R2", "T4")):
-            candidate = _closed_form_r2t34(g, mu)
-            if _certify(obj, candidate, x):
-                return candidate
-    return _finalize(obj, g, mu, x, "numeric")
+            # both users independent: full fresh power, the least bin power;
+            # min_relay_power reads the thresholds classify compared, so it
+            # does not raise here
+            res = _result(g, mu, PowerAllocation(0.0, p, 0.0, p, 0.0, 0.0, min_relay_power(g)),
+                          "closed-form-r2t34")
+            # the one guard, against a misjudged borderline cell (the numeric
+            # optimum wins) and a bin power too small for the corner (the
+            # candidate's own rates fall): the numeric point's weighted sum at
+            # the corner mu favors may not exceed the candidate's by more than
+            # 1e-9 * max(1, |value|). The tie bonus stays out: at mu = 1 with
+            # r1 << r2 it can exceed the tolerance.
+            value = res.weighted_sum
+            if RatePoint(*_corners(k, p, mu, x)[0]).weighted_sum(mu) <= value + 1e-9 * max(1.0, abs(value)):
+                return res
+    return _finalize(k, g, mu, x)
 
 
 def solve_r2t5(g: LinkGains, mu: float) -> SolveResult:

@@ -96,7 +96,11 @@ class TechniqueDecision:
 
     assignment: SchemeAssignment
     alternate: Optional[SchemeAssignment] = None
-    ambiguous: bool = False
+
+    @property
+    def ambiguous(self) -> bool:
+        """True when ``alternate`` holds the second orientation (``mu = 1/2``)."""
+        return self.alternate is not None
 
 
 # Stored lookup table for mu in (1/2, 1]: cell -> (user 1, user 2).
@@ -192,7 +196,6 @@ def technique_lookup(
     return TechniqueDecision(
         assignment=direct_assignment(reg),
         alternate=transposed_assignment(swapped_reg),
-        ambiguous=True,
     )
 
 

@@ -10,9 +10,8 @@ from typing import Optional
 import numpy as np
 
 from .channel import Geometry, LinkGains, check_point, gains_from_geometry, validate_geometry
-from .errors import (CoincidentNodesError, SideConditionError, ValidationError, WrongRegimeError,
-                     check_count, check_number)
-from .optimizer import ACTIVITY_THRESHOLD, min_relay_power, solve
+from .errors import CoincidentNodesError, SideConditionError, ValidationError, check_count, check_number
+from .optimizer import ACTIVITY_THRESHOLD, solve
 from .rate_region import validate_mu
 from .regimes import Regime, SchemeAssignment, TechniqueDecision, classify, technique_lookup
 
@@ -87,8 +86,9 @@ def regime_map(geom_template: Geometry = Geometry(),
 
 @dataclass(frozen=True)
 class ProfilePoint:
-    """Required total relay power at one position (``beta3`` holds the
-    whole relay budget in use, coherent parts included)."""
+    """Required total relay power at one position: ``beta3`` is the whole
+    budget ``p`` when the optimum uses coherent relay power, else the
+    optimum's bin power."""
 
     x: float
     y: float
@@ -105,10 +105,10 @@ def relay_power_profile(geom_template: Geometry = Geometry(),
 
     The segment defaults to the line between the two users; samples are
     placed at fractions k/(samples+1) for k = 1..samples, so a single
-    sample lands at the midpoint. Per sample: full power when any
-    coherent component is active at the optimum, the independent-coding
-    minimum-power formula in its cells, the solver's minimized bin power
-    otherwise.
+    sample lands at the midpoint. Per sample the point reads
+    ``solve(g, mu)``'s allocation: ``p`` when its coherent powers
+    ``pw1 + pw2`` exceed ``ACTIVITY_THRESHOLD * p``, its ``beta3``, the
+    least bin power the optimum needs, otherwise.
     """
     validate_geometry(geom_template)
     samples = check_count("samples", samples, 1)
@@ -125,12 +125,5 @@ def relay_power_profile(geom_template: Geometry = Geometry(),
         geom = geom_template.with_relay((x, y))
         g = gains_from_geometry(geom, p=p)
         alloc = solve(g, mu).allocation
-        if alloc.pw1 + alloc.pw2 > act:
-            power = p
-        else:
-            try:
-                power = min_relay_power(g)
-            except WrongRegimeError:
-                power = alloc.beta3
-        points.append(ProfilePoint(x=x, y=y, beta3=power))
+        points.append(ProfilePoint(x=x, y=y, beta3=p if alloc.pw1 + alloc.pw2 > act else alloc.beta3))
     return points

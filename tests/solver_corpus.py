@@ -23,14 +23,17 @@ how the iteration stopped, the final surrogate gap and dual residual.
 ``digest`` hashes a list of results: sha256 over each
 ``solve(...).to_dict()`` as sorted-key JSON, every float as
 ``float.hex``, so two checkouts that print the same digest answered
-every solve bit for bit alike.
+every solve bit for bit alike. ``profile_digest`` hashes the
+``relay_power_profile`` points of the profile corpus' six geometries at
+one weight the same way.
 
 Run from a checkout as ``python tests/solver_corpus.py`` to print, per
 corpus, the Newton systems per solve (mean and max), the stop-reason
-counts, the number of closed-form results and the digest. To compare a
-change with its parent, unpack the parent (``git archive HEAD~1 | tar -x
--C DIR``), copy this script into ``DIR/tests`` if it predates the
-digest, and run it in both trees.
+counts, the number of closed-form results and the digest, and then one
+profile digest per weight in ``MUS``. To compare a change with its
+parent, unpack the parent (``git archive HEAD~1 | tar -x -C DIR``), copy
+this script into ``DIR/tests`` if it predates the digests, and run it in
+both trees.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from pathlib import Path
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from twrc import Geometry, LinkGains, gains_from_geometry, solve  # noqa: E402
+from twrc import Geometry, LinkGains, gains_from_geometry, relay_power_profile, solve  # noqa: E402
 
 from helpers import random_gains, sample_cell  # noqa: E402
 
@@ -75,11 +78,14 @@ def extreme_corpus() -> list[tuple[LinkGains, float]]:
     return [(g, mu) for g in draws for mu in MUS]
 
 
-def profile_corpus() -> list[tuple[LinkGains, float]]:
+def profile_geometries() -> list[Geometry]:
     rng = random.Random(20)
+    return [Geometry(gamma1=rng.uniform(2.0, 2.6), gamma2=rng.uniform(3.0, 4.0)) for _ in range(6)]
+
+
+def profile_corpus() -> list[tuple[LinkGains, float]]:
     corpus = []
-    for _ in range(6):
-        geom = Geometry(gamma1=rng.uniform(2.0, 2.6), gamma2=rng.uniform(3.0, 4.0))
+    for geom in profile_geometries():
         (sx, sy), (ex, ey) = geom.user1, geom.user2
         for k in range(PROFILE_SAMPLES):
             t = (k + 1) / (PROFILE_SAMPLES + 1)
@@ -109,9 +115,20 @@ def _hexed(value):
 
 def digest(results) -> str:
     """sha256 of the results' ``to_dict()``, floats as ``float.hex``."""
+    return _sha256(res.to_dict() for res in results)
+
+
+def profile_digest(mu: float) -> str:
+    """sha256 of the ``relay_power_profile`` points of the profile corpus'
+    geometries at weight ``mu``, floats as ``float.hex``."""
+    return _sha256(vars(pt) for geom in profile_geometries()
+                   for pt in relay_power_profile(geom, samples=PROFILE_SAMPLES, mu=mu, p=1.0))
+
+
+def _sha256(dicts) -> str:
     h = hashlib.sha256()
-    for res in results:
-        h.update(json.dumps(_hexed(res.to_dict()), sort_keys=True).encode())
+    for d in dicts:
+        h.update(json.dumps(_hexed(d), sort_keys=True).encode())
         h.update(b"\n")
     return h.hexdigest()
 
@@ -149,6 +166,8 @@ def main() -> None:
               f"mean {sum(counts) / len(counts):.2f}, max {max(counts)}; stops "
               + ", ".join(f"{reason} {stops[reason]}" for reason in ("converged", "collapsed", "cap"))
               + f"; closed form {closed}; sha256 {digest(results)}")
+    for mu in MUS:
+        print(f"relay_power_profile mu {mu}: sha256 {profile_digest(mu)}")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from twrc import oracle, sweeps
 from twrc import (
+    ACTIVITY_THRESHOLD,
+    Geometry,
     GridCapError,
     LinkGains,
     PowerAllocation,
@@ -509,14 +511,26 @@ class TestRelayPowerProfile:
 
     @pytest.mark.parametrize("relay", [(10.0, 20.0), (-4.0, 18.0)])
     def test_sample_outside_the_formula_cells_reads_the_solvers_bin_power(self, relay):
-        # (R1,T1) and (R2,T1): no coherent power, and min_relay_power does
-        # not cover the cell, so the point is the solver's minimized bin power
+        # (R1,T1) and (R2,T1), outside the closed form's cells: no coherent
+        # power, so the point is the solver's minimized bin power
         (point,) = relay_power_profile(MAP_GEOMETRY, samples=1, start=relay, end=relay)
         g = gains_from_geometry(MAP_GEOMETRY.with_relay(relay), p=1.0)
         alloc = solve(g, 0.75).allocation
         assert classify(g).cell not in (("R2", "T3"), ("R2", "T4"))
         assert alloc.pw1 + alloc.pw2 == 0.0
         assert (point.x, point.y, point.beta3) == (*relay, alloc.beta3)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.25, 0.5, 0.75, 1.0])
+    def test_each_point_is_the_solvers_relay_power(self, mu):
+        # p where the optimum uses coherent power, its bin power elsewhere,
+        # at every weight: at mu <= 1/2 the user-1-priority formula
+        # min_relay_power understates what the optimum needs (sample 20,
+        # the midpoint in (R2,T3))
+        points = relay_power_profile(mu=mu)
+        assert len(points) == 41
+        for pt in points:
+            alloc = solve(gains_from_geometry(Geometry().with_relay((pt.x, pt.y)), p=1.0), mu).allocation
+            assert pt.beta3 == (1.0 if alloc.pw1 + alloc.pw2 > ACTIVITY_THRESHOLD else alloc.beta3), pt
 
 
 class TestRestrictionSemantics:
