@@ -141,7 +141,7 @@ def cmd_region(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     g = _resolve_gains(args)
     mu = check_number("--mu", args.mu, 0.0, 1.0)
-    res = solve(g, mu, method=args.method)
+    res = solve(g, mu)
     payload = res.to_dict()
     payload["regime"] = classify(g).to_dict()
     payload["full_power_ok"] = check_full_power(g, res)
@@ -264,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("solve", help="optimal powers and rates for a weight")
     _add_gain_source_flags(sub)
     sub.add_argument("--mu", type=float, default=0.75, help="rate weight for user 1 (default 0.75)")
-    sub.add_argument("--method", choices=("auto", "numeric"), default="auto")
     sub.add_argument("--out", metavar="FILE", help="write here instead of stdout")
     sub.set_defaults(func=cmd_solve)
 

@@ -22,22 +22,23 @@ lifted program in ``(r1, r2, alpha1, alpha2, pw1, pw2, s1, s2)``, one
 Newton system and one multiplier update per iteration, whose answer
 ``_finalize`` snaps to exact zeros where that costs nothing. ``solve``
 logs its Newton-system count, how it stopped, its surrogate gap and its
-dual residual as one DEBUG record on this module's logger. A closed-form
-shortcut covers cells (R2,T3) and (R2,T4), where it is provably optimal,
-and ``solve`` keeps it only when its own weighted sum is not beaten by
-the numeric optimum's; the (R2,T5) closed form is exposed separately
-because it is not optimal on all of its cell.
+dual residual as one DEBUG record on this module's logger. It is the one
+path for every nonzero budget: in cells (R2,T3) and (R2,T4) it reproduces
+the paper's closed form (both users independent, the relay at
+:func:`min_relay_power`), which the tests check rather than ``solve``
+assuming it. The (R2,T5) closed form is exposed separately because it is
+not optimal on all of its cell.
 
 Every rate bound, in the interior-point solve, the finalize step and dual
 recovery, is evaluated by :class:`~twrc.rate_region.RateKernel`, every
 derivative entry of a bound (the Newton systems, dual recovery) is read
 from the kernel's ``table``, and every pentagon corner comes from
 :func:`~twrc.rate_region.pentagon_corner`. The scalar points that the
-finalize step and the closed-form check evaluate go through one path,
-``_corners``: the kernel's ``bounds``, then the corner.
+finalize step evaluates go through one path, ``_corners``: the kernel's
+``bounds``, then the corner.
 
-Every path, the zero-budget answer, the numeric optimum and both closed
-forms, ends in ``_result``, the one place a :class:`SolveResult` is
+Every result, the zero-budget answer, the numeric optimum and the (R2,T5)
+closed form, ends in ``_result``, the one place a :class:`SolveResult` is
 built. It evaluates the allocation once, one kernel and one set of
 ``log2`` arguments, and the rates, the labels and the duals all read
 that evaluation; a new result field is computed there.
@@ -481,19 +482,17 @@ def _finalize(k: RateKernel, g: LinkGains, mu: float, x) -> SolveResult:
     return _result(g, mu, alloc, "numeric")
 
 
-def solve(g: LinkGains, mu: float, method: str = "auto") -> SolveResult:
+def solve(g: LinkGains, mu: float) -> SolveResult:
     """Maximize ``mu * r1 + (1 - mu) * r2`` over powers and rates.
 
-    ``method="auto"`` (default) takes a closed-form shortcut in cells
-    (R2,T3) and (R2,T4) with ``mu > 1/2``, where full relay binning for
-    user 2 on top of user 1's direct-transmission corner is provably
-    optimal, and runs the numeric path everywhere else. The (R2,T5)
-    closed form (:func:`solve_r2t5`) is deliberately not used as a
-    shortcut: on a measurable fraction of that cell a mixed allocation
-    with ``alpha1 > 0`` strictly beats it, so treating it as the answer
-    would break this function's optimality contract.
-    ``method="numeric"`` forces the numeric path, which is useful for
-    validating the closed forms against an independent computation.
+    One path: a zero budget gives the all-zero allocation (``method``
+    ``"trivial"``); any other budget runs the interior-point solve and its
+    finalize step (``"numeric"``). In cells (R2,T3) and (R2,T4) at
+    ``mu > 1/2`` that solve lands on the paper's closed form, both users
+    independent at the bin power :func:`min_relay_power`. The (R2,T5)
+    closed form (:func:`solve_r2t5`) is exposed separately: on a
+    measurable fraction of that cell a mixed allocation with
+    ``alpha1 > 0`` strictly beats it.
 
     At ``mu = 1/2`` the two pentagon corners tie; the user-1-favoring
     corner is reported and the other appears in ``alternate_rates`` with
@@ -501,31 +500,12 @@ def solve(g: LinkGains, mu: float, method: str = "auto") -> SolveResult:
     """
     validate_gains(g)
     mu = validate_mu(mu)
-    if method not in ("auto", "numeric"):
-        raise ValidationError(f"method must be 'auto' or 'numeric', got {method!r}")
     p = g.p
     if p == 0.0:
         return _result(g, mu, PowerAllocation(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), "trivial")
     k = RateKernel(g)
     x, *stats = _primal_dual(k, p, mu)
     _LOG.debug("numeric solve: %d Newton systems, stopped %s, gap %.3g, dual residual %.3g", *stats)
-    if method == "auto" and mu > 0.5:
-        reg = classify(g)
-        if reg.side_condition_holds and reg.cell in (("R2", "T3"), ("R2", "T4")):
-            # both users independent: full fresh power, the least bin power;
-            # min_relay_power reads the thresholds classify compared, so it
-            # does not raise here
-            res = _result(g, mu, PowerAllocation(0.0, p, 0.0, p, 0.0, 0.0, min_relay_power(g)),
-                          "closed-form-r2t34")
-            # the one guard, against a misjudged borderline cell (the numeric
-            # optimum wins) and a bin power too small for the corner (the
-            # candidate's own rates fall): the numeric point's weighted sum at
-            # the corner mu favors may not exceed the candidate's by more than
-            # 1e-9 * max(1, |value|). The tie bonus stays out: at mu = 1 with
-            # r1 << r2 it can exceed the tolerance.
-            value = res.weighted_sum
-            if RatePoint(*_corners(k, p, mu, x)[0]).weighted_sum(mu) <= value + 1e-9 * max(1.0, abs(value)):
-                return res
     return _finalize(k, g, mu, x)
 
 

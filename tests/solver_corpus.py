@@ -14,7 +14,8 @@ Each corpus is a list of ``(LinkGains, mu)`` pairs:
   and gamma2 in [3.0, 4.0];
 * ``closed_form``: ``helpers.sample_cell(Random(21), ...)`` draws in
   cells (R2,T3) and (R2,T4), 20 per cell at each margin 0.05 and 1e-6,
-  at mu = 0.6, 3/4 and 1, where ``solve`` tries its closed form.
+  at mu = 0.6, 3/4 and 1, where the paper's closed form
+  (:func:`~twrc.min_relay_power`) is the optimum.
 
 ``solve_stats`` collects what ``solve`` logs at DEBUG on the
 ``twrc.optimizer`` logger for each numeric solve: the Newton systems,
@@ -29,11 +30,10 @@ one weight the same way.
 
 Run from a checkout as ``python tests/solver_corpus.py`` to print, per
 corpus, the Newton systems per solve (mean and max), the stop-reason
-counts, the number of closed-form results and the digest, and then one
-profile digest per weight in ``MUS``. To compare a change with its
-parent, unpack the parent (``git archive HEAD~1 | tar -x -C DIR``), copy
-this script into ``DIR/tests`` if it predates the digests, and run it in
-both trees.
+counts and the digest, and then one profile digest per weight in
+``MUS``. To compare a change with its parent, unpack the parent
+(``git archive HEAD~1 | tar -x -C DIR``), copy this script into
+``DIR/tests`` if it predates the digests, and run it in both trees.
 """
 
 from __future__ import annotations
@@ -161,11 +161,10 @@ def main() -> None:
             results = [solve(g, mu) for g, mu in corpus]
         counts = [s[0] for s in stats]
         stops = Counter(s[1] for s in stats)
-        closed = sum(res.method.startswith("closed-form") for res in results)
         print(f"{name}: {len(corpus)} solves, {len(counts)} numeric; Newton systems per solve "
               f"mean {sum(counts) / len(counts):.2f}, max {max(counts)}; stops "
               + ", ".join(f"{reason} {stops[reason]}" for reason in ("converged", "collapsed", "cap"))
-              + f"; closed form {closed}; sha256 {digest(results)}")
+              + f"; sha256 {digest(results)}")
     for mu in MUS:
         print(f"relay_power_profile mu {mu}: sha256 {profile_digest(mu)}")
 

@@ -54,7 +54,7 @@ def test_criterion_1_technique_table_reproduction(acceptance_record):
             cell_hits = 0
             for _ in range(per_cell):
                 g = sample_cell(rng, r_idx, t_idx)
-                res = solve(g, 0.75, method="numeric")
+                res = solve(g, 0.75)
                 total += 1
                 if (res.assignment.user1, res.assignment.user2) == want:
                     hits += 1
@@ -78,7 +78,7 @@ def test_criterion_2_minimum_relay_power_formula(acceptance_record):
     for i in range(n):
         t_idx = "T3" if i % 2 == 0 else "T4"
         g = sample_cell(rng, "R2", t_idx)
-        res = solve(g, 0.75, method="numeric")
+        res = solve(g, 0.75)
         want = min_relay_power(g)
         rel = abs(res.allocation.beta3 - want) / max(want, 1e-300)
         worst_rel = max(worst_rel, rel)
@@ -126,7 +126,7 @@ def test_criterion_4_r2t5_closed_form(acceptance_record):
         cons = compute_constraints(g, a)
         if abs(cons.j4 - (cons.j5 - cons.j1)) > 1e-9:
             gap_bad += 1
-        reference = solve(g, 0.75, method="numeric")
+        reference = solve(g, 0.75)
         gap = reference.weighted_sum - res.weighted_sum
         worst_sum_gap = max(worst_sum_gap, gap)
         if gap > 1e-6:

@@ -188,6 +188,9 @@ class TestSolve:
         payload = json.loads(proc.stdout)
         assert payload["closed_form_beta3"] == pytest.approx(
             0.42715596330275235, rel=1e-9)
+        # the one numeric path reproduces the paper's formula
+        assert payload["method"] == "numeric"
+        assert payload["allocation"]["beta3"] == pytest.approx(payload["closed_form_beta3"], rel=1e-9)
         assert payload["relay_full_power"] is False
         assert payload["full_power_ok"] is True
         assert payload["assignment"] == {"user1": "Ind", "user2": "Ind"}
@@ -228,11 +231,6 @@ class TestSolve:
         assert alloc["pw2"] == 0.0
         assert alloc["beta3"] == 0.0
         assert payload["assignment"] == {"user1": "DT", "user2": "DT"}
-
-    def test_method_flag_forces_numeric(self):
-        proc = run_cli("solve", *gain_flags(R2T3_GAINS), "--method", "numeric")
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["method"] == "numeric"
 
     def test_weight_out_of_range(self):
         proc = run_cli("solve", *gain_flags(R3T5_GAINS), "--mu", "1.5")
