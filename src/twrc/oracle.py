@@ -11,14 +11,21 @@ subset of the composite lattice. :func:`grid_best` skips the points and
 corners that cannot hold a weighted-sum maximum.
 
 Every lattice is a list of product pieces, user-1 points x user-2
-points x relay points (:func:`_pieces`), and one evaluator serves them
-all without materializing them: each bound is evaluated once on the
-points it reads, in one broadcast kernel call, and the pentagon corners
-broadcast back to one user-1 point at a time (:func:`_corners`). The
-rates are bit-identical to evaluating every allocation alone, which the
-tests do on the materialized lattice as their reference. The Pareto
-filter drops the points strictly dominated by the batch's max-sum point
-before its sort, which provably keeps the same points.
+points x relay points (:func:`_pieces`), and none is materialized: each
+bound is evaluated once on the points it reads, in one broadcast kernel
+call (:func:`_bounds`). The rates are bit-identical to evaluating every
+allocation alone, which the tests do on the materialized lattice as
+their reference. :func:`grid_region`, :func:`local_grid_best` and
+:func:`audit_grid_best` broadcast the pentagon corners back to one
+user-1 point at a time (:func:`_corners`); grid_region's Pareto filter
+drops the points strictly dominated by the batch's max-sum point before
+its sort, which provably keeps the same points.
+:func:`grid_best` walks no points. Two float facts of the bounds,
+``j5 >= j1, j3`` and ``j5`` never rising with either user's level, let
+an exact crossing search (:func:`_crossing`) find the favored corner's
+best over the full-power face in O(n m log n) time and O(n m) memory,
+``n`` levels and ``m`` relay pairs, with the same float as a
+point-by-point search.
 
 The oracle shares only the rate formulas with the solver and never
 calls it; the sweeps that do call it live in :mod:`twrc.sweeps`.
@@ -203,6 +210,21 @@ def _pieces(restriction: SchemeRestriction, levels: np.ndarray, p: float) -> lis
             _Piece(*idle, *full, zeros, levels, p - levels)]
 
 
+def _bounds(g: LinkGains, piece: _Piece) -> tuple[np.ndarray, ...]:
+    """``(j1, j2, j3, j4, j5)`` of ``piece``, each evaluated once on the
+    points it reads: ``j1`` on user 1 (shape ``(n1, 1, 1)``), ``j3`` on
+    user 2 ``(n2, 1)``, ``j5`` on both ``(n1, n2, 1)``, ``j2`` on user 1 x
+    relay ``(n1, 1, m)`` and ``j4`` on user 2 x relay ``(n2, m)``. One
+    broadcast :meth:`~twrc.rate_region.RateKernel.bounds` call, with the
+    operands of evaluating each allocation alone, so every rate is
+    bit-identical to that."""
+    a1 = piece.alpha1[:, None, None]
+    a2 = piece.alpha2[:, None]
+    return RateKernel(g).bounds(
+        piece.beta1[:, None, None], piece.beta2[:, None], np.sqrt(piece.pw1 * a1),
+        np.sqrt(piece.pw2 * a2), piece.pw1 + piece.beta3, piece.pw2 + piece.beta3)
+
+
 def _corners(g: LinkGains, piece: _Piece,
              favors: Iterable[bool]) -> Iterator[tuple[int, np.ndarray, dict]]:
     """The pentagon corners of ``piece``, one user-1 point at a time:
@@ -213,19 +235,12 @@ def _corners(g: LinkGains, piece: _Piece,
     each user the relay spends coherent power ``pw_i > 0`` on sends a
     coherent part ``alpha_i > 0``.
 
-    Each bound is evaluated once on the points it reads (``j1`` on
-    user 1, ``j3`` on user 2, ``j5`` on both, ``j2`` on user 1 x relay,
-    ``j4`` on user 2 x relay) through one broadcast
-    :meth:`~twrc.rate_region.RateKernel.bounds` call, with the operands
-    of evaluating each allocation alone, so the rates are bit-identical
-    to that. The corner arrays are user-2 points x relay points.
+    The bounds come from :func:`_bounds`, so the rates are
+    bit-identical to evaluating each allocation alone. The corner arrays
+    are user-2 points x relay points.
     """
-    a1 = piece.alpha1[:, None, None]
-    a2 = piece.alpha2[:, None]
-    j1, j2, j3, j4, j5 = RateKernel(g).bounds(
-        piece.beta1[:, None, None], piece.beta2[:, None], np.sqrt(piece.pw1 * a1),
-        np.sqrt(piece.pw2 * a2), piece.pw1 + piece.beta3, piece.pw2 + piece.beta3)
-    valid = (piece.pw2 <= 0.0) | (a2 > 0.0)
+    j1, j2, j3, j4, j5 = _bounds(g, piece)
+    valid = (piece.pw2 <= 0.0) | (piece.alpha2[:, None] > 0.0)
     valid_idle = valid & (piece.pw1 <= 0.0)
     for i, a1_val in enumerate(piece.alpha1):
         j = (j1[i], j2[i], j3, j4, j5[i])
@@ -389,9 +404,21 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025) -> list[f
     which need not meet the full-power face, and :func:`audit_grid_best`
     is the independent unreduced check, so neither is pruned.
 
-    Evaluates the face with :func:`_corners` and shares it across all
-    weights, so checking several weights costs barely more than one. The
-    tests compare it with a point-by-point search of the whole composite
+    The face is one :func:`_bounds` call, shared across all weights, so
+    checking several weights costs barely more than one. Its search is
+    exact, not a scan of every point, and rests on two float facts that
+    hold elementwise on the lattice: ``j5 >= j1`` and ``j5 >= j3``, and
+    ``j5`` never rises along either user's level axis (each ``log2``
+    argument is a rounded sum of nonnegative terms, and a user's fresh
+    power ``p - alpha`` never rises with its level). At user 1's corner
+    the first fact makes ``r1 = min(j1, j2)`` independent of ``alpha2``,
+    and :func:`_crossing` finds the best ``r2`` over the ``alpha2`` levels
+    from where ``min(j3, j4)``'s prefix max crosses ``j5 - r1``; user 2's
+    corner swaps the users. For a fixed ``r1`` the rounded weighted sum
+    never falls as ``r2`` rises, so the result is the same float as the
+    best over every point. That takes O(n m log n) time and O(n m)
+    memory for ``n`` levels and ``m`` relay pairs. The tests compare it
+    with a point-by-point search of the face and of the whole composite
     lattice. The cap counts the face lattice, ``n * n`` user splits
     times the relay simplex pairs.
     """
@@ -404,13 +431,58 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025) -> list[f
     levels = _levels(p, step)
     _check_cap(len(levels) ** 2 * _simplex_pair_count(levels, p))
     favor1 = [mu >= 0.5 for mu in mus]
+    face = _face(levels, p, bin_power=True)
+    j1, j2, j3, j4, j5 = _bounds(g, face)
+    j5 = j5[:, :, 0]
+    # per user, over (its level, relay pair): the min of its own bounds,
+    # which is its rate at the corner that favors it (written over j2 and
+    # j4, which nothing reads again), and which points are valid
+    own = (np.minimum(j1, j2, out=j2)[:, 0], np.minimum(j3, j4, out=j4))
+    valid = ((face.pw1 <= 0.0) | (face.alpha1[:, None] > 0.0),
+             (face.pw2 <= 0.0) | (face.alpha2[:, None] > 0.0))
     best = [-math.inf] * len(mus)
-    for _, valid, corners in _corners(g, _face(levels, p, bin_power=True), set(favor1)):
-        rates = {f: (r1[valid], r2[valid]) for f, (r1, r2) in corners.items()}
+    for f in set(favor1):
+        u, o = (0, 1) if f else (1, 0)
+        mine = own[u][valid[u]]
+        other = _crossing(own[u], own[o], valid[o], j5 if f else j5.T)[valid[u]]
+        r1, r2 = (mine, other) if f else (other, mine)
         for k, mu in enumerate(mus):
-            r1, r2 = rates[favor1[k]]
-            best[k] = max(best[k], float(np.max(mu * r1 + (1.0 - mu) * r2)))
+            if favor1[k] == f:
+                best[k] = float(np.max(mu * r1 + (1.0 - mu) * r2))
     return best
+
+
+def _crossing(own: np.ndarray, other: np.ndarray, valid: np.ndarray, j5: np.ndarray) -> np.ndarray:
+    """``max over valid k of min(other[k, r], j5[i, k] - own[i, r])`` for
+    every favored-user level ``i`` and relay pair ``r``: the other user's
+    best rate at the favored corner, with ``own`` the favored user's rate,
+    ``other`` the min of the other user's own bounds, ``valid`` its valid
+    points and ``j5`` indexed (favored level, other level). Each ``(i,
+    r)`` needs a valid ``k``, or the result there is -inf.
+
+    With ``w = j5[i, k] - own[i, r]``, which never rises with ``k``, and
+    ``pv`` the prefix max of ``other`` over ``k``, which never falls,
+    ``max over k of min(other, w)`` equals ``max over k of min(pv, w)``:
+    ``pv[k]`` is some ``other[j]`` with ``j <= k`` and ``w[j] >= w[k]``.
+    ``pv < w`` holds on exactly the levels below the crossing ``c``, and
+    from ``c`` on ``min(pv, w) = w`` never rises, so the maximum is
+    ``max(pv[c - 1], w[c])``, either term absent at the ends. A
+    branchless bisection finds ``c`` for every ``(i, r)`` at once, in
+    about ``log2 n`` gathers of ``own``'s shape.
+    """
+    n, m = other.shape
+    pv = np.maximum.accumulate(np.where(valid, other, -np.inf), axis=0).ravel()
+    cols = np.arange(m)
+    rows = (np.arange(len(own)) * n)[:, None]  # start of each favored level's row of j5
+    j5 = j5.ravel()
+    c = np.zeros(own.shape, dtype=np.intp)
+    half = 1 << (n.bit_length() - 1)
+    while half:
+        k = np.minimum(c + half, n) - 1
+        c = np.where(pv.take(k * m + cols) < j5.take(rows + k) - own, k + 1, c)
+        half >>= 1
+    below = np.where(c > 0, pv.take(np.maximum(c - 1, 0) * m + cols), -np.inf)
+    return np.maximum(below, np.where(c < n, j5.take(rows + np.minimum(c, n - 1)) - own, -np.inf))
 
 
 def local_grid_best(g: LinkGains, mu: float, center: PowerAllocation,

@@ -7,6 +7,8 @@ formulas. Composite keeps its time-share planes here, which the oracle
 drops as duplicates of points of its full-power face.
 """
 
+from itertools import islice
+
 import numpy as np
 
 from twrc import SchemeRestriction
@@ -60,6 +62,22 @@ def lattice_batches(restriction, levels, p):
         for a1 in levels:
             yield valid_points(a1, 0.0, levels, 0.0, p - levels)
         yield valid_points(0.0, levels[:, None], 0.0, levels, p - levels)
+
+
+def face_best(g, mus, levels, p):
+    """Best weighted sum over the composite lattice's full-power face
+    (the first ``len(levels)`` batches of ``lattice_batches``), per weight,
+    at the corner the weight favors (user 1's when ``mu >= 1/2``), every
+    allocation evaluated on its own."""
+    best = [-np.inf] * len(mus)
+    for a1, a2, q1, q2, b3 in islice(lattice_batches(SchemeRestriction.COMPOSITE, levels, p), len(levels)):
+        if len(a1) == 0:
+            continue
+        r1a, r2a, r1b, r2b = corner_rates(g, a1, p - a1, a2, p - a2, q1, q2, b3)
+        for k, mu in enumerate(mus):
+            r1, r2 = (r1a, r2a) if mu >= 0.5 else (r1b, r2b)
+            best[k] = max(best[k], float(np.max(mu * r1 + (1.0 - mu) * r2)))
+    return best
 
 
 def local_box_best(g, mu, center, radius, points_per_axis):

@@ -26,14 +26,18 @@ how the iteration stopped, the final surrogate gap and dual residual.
 ``float.hex``, so two checkouts that print the same digest answered
 every solve bit for bit alike. ``profile_digest`` hashes the
 ``relay_power_profile`` points of the profile corpus' six geometries at
-one weight the same way.
+one weight the same way, and ``grid_best_digest`` the oracle's
+``grid_best`` on acceptance criterion 6's 100 draws
+(``helpers.random_gains(Random(2030))``, step 0.025, weights 1/4, 1/2,
+3/4, 1) and on the extreme corpus' gains (step p/12, weights ``MUS``).
 
 Run from a checkout as ``python tests/solver_corpus.py`` to print, per
 corpus, the Newton systems per solve (mean and max), the stop-reason
-counts and the digest, and then one profile digest per weight in
-``MUS``. To compare a change with its parent, unpack the parent
-(``git archive HEAD~1 | tar -x -C DIR``), copy this script into
-``DIR/tests`` if it predates the digests, and run it in both trees.
+counts and the digest, then one profile digest per weight in ``MUS``,
+then the ``grid_best`` digest. To compare a change with its parent,
+unpack the parent (``git archive HEAD~1 | tar -x -C DIR``), copy this
+script into ``DIR/tests`` if it predates the digests, and run it in
+both trees.
 """
 
 from __future__ import annotations
@@ -51,13 +55,14 @@ from pathlib import Path
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from twrc import Geometry, LinkGains, gains_from_geometry, relay_power_profile, solve  # noqa: E402
+from twrc import Geometry, LinkGains, gains_from_geometry, grid_best, relay_power_profile, solve  # noqa: E402
 
 from helpers import random_gains, sample_cell  # noqa: E402
 
 MUS = (0.0, 0.25, 0.5, 0.75, 1.0)
 PROFILE_SAMPLES = 41
 CLOSED_FORM_MUS = (0.6, 0.75, 1.0)
+ORACLE_MUS = (0.25, 0.5, 0.75, 1.0)
 
 
 def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -69,13 +74,17 @@ def random_gains_corpus() -> list[tuple[LinkGains, float]]:
     return [(g, mu) for g in [random_gains(rng) for _ in range(100)] for mu in MUS]
 
 
-def extreme_corpus() -> list[tuple[LinkGains, float]]:
+def extreme_draws() -> list[LinkGains]:
     rng = random.Random(12)
     draws = []
     for _ in range(250):
         amps = [0.0 if rng.random() < 0.15 else _log_uniform(rng, 1e-3, 1e3) for _ in range(6)]
         draws.append(LinkGains(*amps, p=_log_uniform(rng, 1e-6, 1e4)))
-    return [(g, mu) for g in draws for mu in MUS]
+    return draws
+
+
+def extreme_corpus() -> list[tuple[LinkGains, float]]:
+    return [(g, mu) for g in extreme_draws() for mu in MUS]
 
 
 def profile_geometries() -> list[Geometry]:
@@ -125,6 +134,15 @@ def profile_digest(mu: float) -> str:
                    for pt in relay_power_profile(geom, samples=PROFILE_SAMPLES, mu=mu, p=1.0))
 
 
+def grid_best_digest() -> str:
+    """sha256 of ``grid_best`` on criterion 6's draws and on the extreme
+    draws, one ``{weight: best}`` dict per call, floats as ``float.hex``."""
+    rng = random.Random(2030)
+    calls = [(random_gains(rng), ORACLE_MUS, 0.025) for _ in range(100)]
+    calls += [(g, MUS, g.p / 12) for g in extreme_draws()]
+    return _sha256(dict(zip(map(str, mus), grid_best(g, mus, step=step))) for g, mus, step in calls)
+
+
 def _sha256(dicts) -> str:
     h = hashlib.sha256()
     for d in dicts:
@@ -167,6 +185,7 @@ def main() -> None:
               + f"; sha256 {digest(results)}")
     for mu in MUS:
         print(f"relay_power_profile mu {mu}: sha256 {profile_digest(mu)}")
+    print(f"grid_best: sha256 {grid_best_digest()}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from twrc import oracle, sweeps
@@ -38,7 +38,7 @@ from twrc import (
 )
 
 from helpers import MAP_GEOMETRY, R3T5_GAINS, random_gains
-from oracle_reference import corner_rates, lattice_batches, local_box_best
+from oracle_reference import corner_rates, face_best, lattice_batches, local_box_best
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +307,52 @@ def test_grid_best_matches_unpruned_lattice(amps, log_p, divisions):
     for mu, got, want in zip(GRID_BEST_MUS, pruned, unpruned_grid_best(g, GRID_BEST_MUS, step)):
         assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), (mu, got, want)
 
+
+@given(
+    amps=st.lists(amplitude, min_size=6, max_size=6),
+    log_p=st.floats(min_value=-6.0, max_value=4.0),
+    divisions=st.floats(min_value=2.0, max_value=40.0),
+)
+@example(amps=[0.3, 0.0, 1e3, 1e-3, 2.0, 0.7], log_p=0.0, divisions=40.0)
+@example(amps=[1.0, 0.5, 0.0, 3.0, 0.2, 0.0], log_p=4.0, divisions=7.5)
+@example(amps=[110.0, 0.0082, 0.0, 4.72, 1.17, 13.8], log_p=2.175, divisions=5.0)
+def test_grid_best_equals_point_by_point_face(amps, log_p, divisions):
+    # the crossing search returns the very float the best point of the
+    # face gives at the favored corner, not merely a close one; on the
+    # last example an invalid point (alpha2 = 0, pw2 > 0) left in the
+    # search would round one ulp above it at mu = 1/2
+    p = 10.0 ** log_p
+    g = LinkGains(g12=amps[0], g21=amps[1], g1r=amps[2], gr1=amps[3], g2r=amps[4], gr2=amps[5], p=p)
+    step = p / divisions
+    assert grid_best(g, GRID_BEST_MUS, step=step) == face_best(g, GRID_BEST_MUS, oracle._levels(p, step), p)
+
+
+@given(
+    amps=st.lists(amplitude, min_size=6, max_size=6),
+    log_p=st.floats(min_value=-6.0, max_value=4.0),
+    divisions=st.floats(min_value=2.0, max_value=40.0),
+)
+def test_face_bounds_keep_the_float_facts_grid_best_relies_on(amps, log_p, divisions):
+    # j5 >= j1 and j5 >= j3 elementwise, and j5 never rises along either
+    # user's level axis, on the face exactly as grid_best builds it
+    p = 10.0 ** log_p
+    g = LinkGains(g12=amps[0], g21=amps[1], g1r=amps[2], gr1=amps[3], g2r=amps[4], gr2=amps[5], p=p)
+    levels = oracle._levels(p, p / divisions)
+    j1, _, j3, _, j5 = oracle._bounds(g, oracle._face(levels, p, bin_power=True))
+    assert np.all(j5 >= j1) and np.all(j5 >= j3)
+    assert np.all(np.diff(j5, axis=0) <= 0.0) and np.all(np.diff(j5, axis=1) <= 0.0)
+
+
+def test_grid_best_memory_stays_linear_in_the_face():
+    # step p/40: 41 levels and 861 relay pairs; one n * n * m array of
+    # floats alone would take about 11.6 MB
+    tracemalloc.start()
+    try:
+        grid_best(R3T5_GAINS, GRID_BEST_MUS, step=R3T5_GAINS.p / 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 @given(
