@@ -8,24 +8,26 @@ convex-hulls the result. Restricted variants (block Markov only,
 independent only, direct only, time sharing) reuse the same machinery so
 containment comparisons are exact: every restricted lattice is a literal
 subset of the composite lattice. :func:`grid_best` skips the points and
-corners that cannot hold a weighted-sum maximum.
+corners that cannot hold a weighted-sum maximum, and :func:`grid_region`
+the points that cannot survive its Pareto filter.
 
 Every lattice is a list of product pieces, user-1 points x user-2
 points x relay points (:func:`_pieces`), and none is materialized: each
 bound is evaluated once on the points it reads, in one broadcast kernel
 call (:func:`_bounds`). The rates are bit-identical to evaluating every
 allocation alone, which the tests do on the materialized lattice as
-their reference. :func:`grid_region`, :func:`local_grid_best` and
-:func:`audit_grid_best` broadcast the pentagon corners back to one
-user-1 point at a time (:func:`_corners`); grid_region's Pareto filter
-drops the points strictly dominated by the batch's max-sum point before
-its sort, which provably keeps the same points.
-:func:`grid_best` walks no points. Two float facts of the bounds,
-``j5 >= j1, j3`` and ``j5`` never rising with either user's level, let
-an exact crossing search (:func:`_crossing`) find the favored corner's
-best over the full-power face in O(n m log n) time and O(n m) memory,
-``n`` levels and ``m`` relay pairs, with the same float as a
-point-by-point search.
+their reference. :func:`local_grid_best` and :func:`audit_grid_best`
+broadcast the pentagon corners back to one user-1 point at a time
+(:func:`_corners`). :func:`grid_best` and :func:`grid_region` walk no
+points. Two float facts of the bounds, ``j5 >= j1, j3`` and ``j5``
+never rising with either user's level, make the favored user's rate at
+each corner independent of the other user's level, so an exact crossing
+search (:func:`_crossing`) finds, per favored level and relay pair, the
+other user's best rate and the first level that reaches it, in O(n m
+log n) time and O(n m) memory for ``n`` levels and ``m`` relay pairs.
+Those are the only points that can hold grid_best's maximum or survive
+grid_region's Pareto filter, with the same floats and the same
+tie-breaks as a point-by-point search.
 
 The oracle shares only the rate formulas with the solver and never
 calls it; the sweeps that do call it live in :mod:`twrc.sweeps`.
@@ -169,14 +171,6 @@ class _Piece(NamedTuple):
     pw2: np.ndarray
     beta3: np.ndarray
 
-    def powers(self, i: int, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The seven powers, in :class:`PowerAllocation` field order, of
-        user-1 point ``i`` with the points ``flat`` of the row-major
-        (user-2 point, relay point) plane."""
-        u2, relay = np.divmod(flat, len(self.pw1))
-        return (np.full(len(flat), self.alpha1[i]), np.full(len(flat), self.beta1[i]),
-                self.alpha2[u2], self.beta2[u2], self.pw1[relay], self.pw2[relay], self.beta3[relay])
-
 
 def _face(levels: np.ndarray, p: float, bin_power: bool) -> _Piece:
     """Full-power users on every level times the relay simplex pairs, the
@@ -225,19 +219,53 @@ def _bounds(g: LinkGains, piece: _Piece) -> tuple[np.ndarray, ...]:
         np.sqrt(piece.pw2 * a2), piece.pw1 + piece.beta3, piece.pw2 + piece.beta3)
 
 
+def _corner_best(g: LinkGains, piece: _Piece, favors: Iterable[bool]
+                 ) -> Iterator[tuple[bool, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The points of ``piece`` that can hold each pentagon corner's
+    maximum or Pareto points, one per favored-user level and relay pair:
+    ``(f, r1, r2, level, valid)`` for the corner favoring user 1 when
+    ``f``, each array indexed (favored-user level, relay pair). ``level``
+    is the other user's first level with the most for the other user,
+    ``r1, r2`` are the corner's rates there and ``valid`` marks the
+    favored user's valid points, as in :func:`_corners`; where it is
+    False the other arrays mean nothing.
+
+    At the corner favoring user 1, ``r1 = min(j1, j2)`` whatever user
+    2's level, since ``j5 >= j1`` holds elementwise in floats, so every
+    user-2 level at one (user-1 level, relay pair) gives the same
+    ``r1``; :func:`_crossing` finds the best ``r2`` among them and its
+    first level. User 2's corner swaps the users. Each piece of
+    :func:`_pieces` gives the other user a valid point at every relay
+    pair (where its coherent power is positive, its levels reach
+    ``p > 0``), so the rates are finite wherever ``valid`` holds.
+    """
+    j1, j2, j3, j4, j5 = _bounds(g, piece)
+    j5 = j5[:, :, 0]
+    # per user, over (its level, relay pair): the min of its own bounds,
+    # which is its rate at the corner that favors it (written over j2 and
+    # j4, which nothing reads again), and which points are valid
+    own = (np.minimum(j1, j2, out=j2)[:, 0], np.minimum(j3, j4, out=j4))
+    valid = ((piece.pw1 <= 0.0) | (piece.alpha1[:, None] > 0.0),
+             (piece.pw2 <= 0.0) | (piece.alpha2[:, None] > 0.0))
+    for f in favors:
+        u, o = (0, 1) if f else (1, 0)
+        other, level = _crossing(own[u], own[o], valid[o], j5 if f else j5.T)
+        r1, r2 = (own[u], other) if f else (other, own[u])
+        yield f, r1, r2, level, valid[u]
+
+
 def _corners(g: LinkGains, piece: _Piece,
              favors: Iterable[bool]) -> Iterator[tuple[int, np.ndarray, dict]]:
     """The pentagon corners of ``piece``, one user-1 point at a time:
-    ``(i, valid, corners)``. ``valid`` is the mask of valid allocations
-    over (user-2 point, relay point), whose ravel order is candidate
-    order, and ``corners[f]`` is :func:`pentagon_corner` favoring user 1
-    when ``f``, as two arrays of that shape. An allocation is valid when
-    each user the relay spends coherent power ``pw_i > 0`` on sends a
-    coherent part ``alpha_i > 0``.
+    ``(i, valid, corners)``, for the searches that read every point.
+    ``valid`` is the mask of valid allocations over (user-2 point, relay
+    point), whose ravel order is candidate order, and ``corners[f]`` is
+    :func:`pentagon_corner` favoring user 1 when ``f``, as two arrays of
+    that shape. An allocation is valid when each user the relay spends
+    coherent power ``pw_i > 0`` on sends a coherent part ``alpha_i > 0``.
 
     The bounds come from :func:`_bounds`, so the rates are
-    bit-identical to evaluating each allocation alone. The corner arrays
-    are user-2 points x relay points.
+    bit-identical to evaluating each allocation alone.
     """
     j1, j2, j3, j4, j5 = _bounds(g, piece)
     valid = (piece.pw2 <= 0.0) | (piece.alpha2[:, None] > 0.0)
@@ -321,11 +349,23 @@ def grid_region(g: LinkGains, step: float = 0.05,
                 restriction: SchemeRestriction = SchemeRestriction.COMPOSITE) -> RegionHull:
     """Achievable-rate hull by exhaustive lattice search.
 
-    Enumerates allocations on a lattice of spacing ``step`` (users at
-    full power; the relay split on its own simplex), evaluates the five
-    bounds, keeps both pentagon corners per allocation, and returns the
-    concave envelope padded with the axis points (0, r2_max) and
-    (r1_max, 0).
+    Searches allocations on a lattice of spacing ``step`` (users at full
+    power; the relay split on its own simplex) at both pentagon corners,
+    keeps the Pareto points and returns their concave envelope padded
+    with the axis points (0, r2_max) and (r1_max, 0). Each source is the
+    first allocation in candidate order (piece, user-1 point, corner,
+    user-2 point, relay point) that reaches its vertex.
+
+    Only the points that can survive the Pareto filter are generated:
+    at each corner, per favored-user level and relay pair, the other
+    user's first level with its best rate (:func:`_corner_best`). Every
+    other point of that row has the same favored rate and either less
+    for the other user or as much and a later place in candidate order,
+    so the filter's order puts the generated point first: the other
+    point is dropped and would drop nothing the generated one does not,
+    and the hull is the same as filtering the whole lattice. The filter
+    runs per piece, then over all pieces, which keeps the same points as
+    one filter over all.
 
     Raises :class:`GridCapError` when the lattice would exceed
     ``DEFAULT_GRID_CAP`` evaluations, or the ``TWRC_GRID_CAP``
@@ -348,14 +388,21 @@ def grid_region(g: LinkGains, step: float = 0.05,
                 SchemeRestriction.INDEPENDENT_ONLY: n, SchemeRestriction.TIME_SHARE: 2 * n * n}[restriction])
     kept: list[tuple[np.ndarray, ...]] = []
     for piece in _pieces(restriction, levels, p):
-        for i, valid, corners in _corners(g, piece, (True, False)):
-            # a batch's Pareto points (user 1's corners, then user 2's) and
-            # the allocation each one comes from
-            (r1a, r2a), (r1b, r2b) = corners[True], corners[False]
-            r1 = np.concatenate([r1a[valid], r1b[valid]])
-            r2 = np.concatenate([r2a[valid], r2b[valid]])
-            k = np.flatnonzero(_pareto_mask(r1, r2))
-            kept.append((r1[k], r2[k], *piece.powers(i, np.flatnonzero(valid)[k % (len(r1) // 2)])))
+        # per corner and (favored level, relay pair), the one point that
+        # can survive the Pareto filter, keyed by candidate order: user-1
+        # point, corner (user 1's first), user-2 point, relay point
+        shape = (len(piece.alpha1), 2, len(piece.alpha2), len(piece.pw1))
+        found = []
+        for f, r1, r2, level, valid in _corner_best(g, piece, (True, False)):
+            u, r = np.nonzero(valid)
+            i, k = (u, level[valid]) if f else (level[valid], u)
+            found.append((r1[valid], r2[valid], np.ravel_multi_index((i, int(not f), k, r), shape)))
+        r1, r2, key = (np.concatenate(col) for col in zip(*found))
+        order = np.argsort(key)
+        keep = order[_pareto_mask(r1[order], r2[order])]
+        i, _, k, r = np.unravel_index(key[keep], shape)
+        kept.append((r1[keep], r2[keep], piece.alpha1[i], piece.beta1[i], piece.alpha2[k], piece.beta2[k],
+                     piece.pw1[r], piece.pw2[r], piece.beta3[r]))
     r1, r2, *powers = (np.concatenate(col) for col in zip(*kept))
     keep = _pareto_mask(r1, r2)
     order = np.argsort(r1[keep], kind="stable")
@@ -398,7 +445,7 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025) -> list[f
 
     A dominated point can still round a few ulps above the point that
     dominates it, so the result may sit that far below a search of the
-    whole lattice. :func:`grid_region` keeps every candidate, because
+    whole lattice. :func:`grid_region` searches every piece, because
     each restricted lattice must stay a literal subset of the composite
     one. :func:`local_grid_best` searches a box around a solver point,
     which need not meet the full-power face, and :func:`audit_grid_best`
@@ -431,34 +478,24 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025) -> list[f
     levels = _levels(p, step)
     _check_cap(len(levels) ** 2 * _simplex_pair_count(levels, p))
     favor1 = [mu >= 0.5 for mu in mus]
-    face = _face(levels, p, bin_power=True)
-    j1, j2, j3, j4, j5 = _bounds(g, face)
-    j5 = j5[:, :, 0]
-    # per user, over (its level, relay pair): the min of its own bounds,
-    # which is its rate at the corner that favors it (written over j2 and
-    # j4, which nothing reads again), and which points are valid
-    own = (np.minimum(j1, j2, out=j2)[:, 0], np.minimum(j3, j4, out=j4))
-    valid = ((face.pw1 <= 0.0) | (face.alpha1[:, None] > 0.0),
-             (face.pw2 <= 0.0) | (face.alpha2[:, None] > 0.0))
     best = [-math.inf] * len(mus)
-    for f in set(favor1):
-        u, o = (0, 1) if f else (1, 0)
-        mine = own[u][valid[u]]
-        other = _crossing(own[u], own[o], valid[o], j5 if f else j5.T)[valid[u]]
-        r1, r2 = (mine, other) if f else (other, mine)
+    for f, r1, r2, _, valid in _corner_best(g, _face(levels, p, bin_power=True), set(favor1)):
         for k, mu in enumerate(mus):
             if favor1[k] == f:
-                best[k] = float(np.max(mu * r1 + (1.0 - mu) * r2))
+                best[k] = float(np.max((mu * r1 + (1.0 - mu) * r2)[valid]))
     return best
 
 
-def _crossing(own: np.ndarray, other: np.ndarray, valid: np.ndarray, j5: np.ndarray) -> np.ndarray:
+def _crossing(own: np.ndarray, other: np.ndarray, valid: np.ndarray,
+              j5: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``max over valid k of min(other[k, r], j5[i, k] - own[i, r])`` for
-    every favored-user level ``i`` and relay pair ``r``: the other user's
-    best rate at the favored corner, with ``own`` the favored user's rate,
+    every favored-user level ``i`` and relay pair ``r``, and the first
+    ``k`` that reaches it: the other user's best rate at the favored
+    corner and its level, with ``own`` the favored user's rate,
     ``other`` the min of the other user's own bounds, ``valid`` its valid
-    points and ``j5`` indexed (favored level, other level). Each ``(i,
-    r)`` needs a valid ``k``, or the result there is -inf.
+    points and ``j5`` indexed (favored level, other level). Where no
+    ``k`` is valid the rate is -inf and the level 0, as ``np.argmax``
+    gives on an all -inf row.
 
     With ``w = j5[i, k] - own[i, r]``, which never rises with ``k``, and
     ``pv`` the prefix max of ``other`` over ``k``, which never falls,
@@ -466,23 +503,46 @@ def _crossing(own: np.ndarray, other: np.ndarray, valid: np.ndarray, j5: np.ndar
     ``pv[k]`` is some ``other[j]`` with ``j <= k`` and ``w[j] >= w[k]``.
     ``pv < w`` holds on exactly the levels below the crossing ``c``, and
     from ``c`` on ``min(pv, w) = w`` never rises, so the maximum is
-    ``max(pv[c - 1], w[c])``, either term absent at the ends. A
+    ``max(pv[c - 1], w[c])``, either term absent at the ends. Below ``c``
+    each ``min`` is ``other`` itself, so when ``pv[c - 1] >= w[c]`` the
+    first maximizer is ``pv[c - 1]``'s first level; otherwise it is
+    ``c``, where ``other >= w`` and every later ``w`` is no larger. A
     branchless bisection finds ``c`` for every ``(i, r)`` at once, in
     about ``log2 n`` gathers of ``own``'s shape.
     """
     n, m = other.shape
-    pv = np.maximum.accumulate(np.where(valid, other, -np.inf), axis=0).ravel()
-    cols = np.arange(m)
-    rows = (np.arange(len(own)) * n)[:, None]  # start of each favored level's row of j5
-    j5 = j5.ravel()
+    size = 1 << n.bit_length()  # a power of two above n
+    # pv[r, k] is the prefix max of other[:k, r] over valid levels, -inf
+    # at k = 0 and +inf past n, and w5 is j5 with -inf past level n, so
+    # no probe needs clamping and none past n crosses
+    pv = np.full((m, size), np.inf)
+    pv[:, 0] = -np.inf
+    np.maximum.accumulate(np.where(valid, other, -np.inf).T, axis=1, out=pv[:, 1:n + 1])
+    w5 = np.full((len(own), size), -np.inf)
+    w5[:, :n] = j5
+    cols = np.arange(m) * size  # start of each relay pair's row of pv
+    rows = (np.arange(len(own)) * size)[:, None]  # start of each favored level's row of w5
+    pv, w5 = pv.ravel(), w5.ravel()
     c = np.zeros(own.shape, dtype=np.intp)
-    half = 1 << (n.bit_length() - 1)
+    half = size >> 1
     while half:
-        k = np.minimum(c + half, n) - 1
-        c = np.where(pv.take(k * m + cols) < j5.take(rows + k) - own, k + 1, c)
+        # probe level c + half - 1: pv's prefix through it against w there
+        c += (pv.take(cols + half + c) < w5.take(rows + (half - 1) + c) - own) * half
         half >>= 1
-    below = np.where(c > 0, pv.take(np.maximum(c - 1, 0) * m + cols), -np.inf)
-    return np.maximum(below, np.where(c < n, j5.take(rows + np.minimum(c, n - 1)) - own, -np.inf))
+    at = cols + c
+    best = pv.take(at)
+    w = w5.take(rows + c)
+    w -= own
+    lower = best >= w
+    np.maximum(best, w, out=best)
+    # first[r, k]: the first level that reaches pv[r, k], which is the
+    # last level j < k where the prefix max rose (0 if none)
+    pv = pv.reshape(m, size)
+    first = np.zeros((m, size), dtype=np.int32)
+    np.multiply(pv[:, 1:] > pv[:, :-1], np.arange(size - 1, dtype=np.int32), out=first[:, 1:])
+    np.maximum.accumulate(first, axis=1, out=first)
+    c[lower] = first.ravel().take(at[lower])
+    return best, c
 
 
 def local_grid_best(g: LinkGains, mu: float, center: PowerAllocation,

@@ -30,14 +30,16 @@ one weight the same way, and ``grid_best_digest`` the oracle's
 ``grid_best`` on acceptance criterion 6's 100 draws
 (``helpers.random_gains(Random(2030))``, step 0.025, weights 1/4, 1/2,
 3/4, 1) and on the extreme corpus' gains (step p/12, weights ``MUS``).
+``grid_region_digest`` hashes the ``grid_region`` vertices and sources
+of every lattice restriction on the same draws, at step 0.05 and p/12.
 
 Run from a checkout as ``python tests/solver_corpus.py`` to print, per
 corpus, the Newton systems per solve (mean and max), the stop-reason
 counts and the digest, then one profile digest per weight in ``MUS``,
-then the ``grid_best`` digest. To compare a change with its parent,
-unpack the parent (``git archive HEAD~1 | tar -x -C DIR``), copy this
-script into ``DIR/tests`` if it predates the digests, and run it in
-both trees.
+then the ``grid_best`` and ``grid_region`` digests. To compare a change
+with its parent, unpack the parent (``git archive HEAD~1 | tar -x -C
+DIR``), copy this script into ``DIR/tests`` if it predates the digests,
+and run it in both trees.
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ from pathlib import Path
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from twrc import Geometry, LinkGains, gains_from_geometry, grid_best, relay_power_profile, solve  # noqa: E402
+from twrc import (  # noqa: E402
+    Geometry, LinkGains, SchemeRestriction, gains_from_geometry, grid_best, grid_region, relay_power_profile, solve,
+)
 
 from helpers import random_gains, sample_cell  # noqa: E402
 
@@ -143,6 +147,28 @@ def grid_best_digest() -> str:
     return _sha256(dict(zip(map(str, mus), grid_best(g, mus, step=step))) for g, mus, step in calls)
 
 
+def grid_region_digest() -> str:
+    """sha256 of ``grid_region``'s hulls for every lattice restriction, on
+    criterion 6's draws at step 0.05 and on the extreme draws at step
+    p/12: per hull, its restriction and vertex count, then one dict per
+    vertex with the vertex's rates and its source's powers, floats as
+    ``float.hex``."""
+    rng = random.Random(2030)
+    calls = [(random_gains(rng), 0.05) for _ in range(100)]
+    calls += [(g, g.p / 12) for g in extreme_draws()]
+    restrictions = [r for r in SchemeRestriction if r != SchemeRestriction.DIRECT_ONLY]
+
+    def hull_dicts():
+        for g, step in calls:
+            for restriction in restrictions:
+                hull = grid_region(g, step=step, restriction=restriction)
+                yield {"restriction": restriction.value, "vertices": len(hull.vertices)}
+                for vertex, source in zip(hull.vertices, hull.sources):
+                    yield {**vars(vertex), **vars(source)}
+
+    return _sha256(hull_dicts())
+
+
 def _sha256(dicts) -> str:
     h = hashlib.sha256()
     for d in dicts:
@@ -186,6 +212,7 @@ def main() -> None:
     for mu in MUS:
         print(f"relay_power_profile mu {mu}: sha256 {profile_digest(mu)}")
     print(f"grid_best: sha256 {grid_best_digest()}")
+    print(f"grid_region: sha256 {grid_region_digest()}")
 
 
 if __name__ == "__main__":

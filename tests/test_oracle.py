@@ -288,6 +288,10 @@ def unpruned_grid_best(g, mus, step):
     return best
 
 
+# direct-only is the analytic rectangle; every other restriction has a lattice
+LATTICE_RESTRICTIONS = [r for r in SchemeRestriction if r != SchemeRestriction.DIRECT_ONLY]
+
+
 amplitude = st.one_of(
     st.just(0.0),
     st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e),
@@ -334,13 +338,17 @@ def test_grid_best_equals_point_by_point_face(amps, log_p, divisions):
 )
 def test_face_bounds_keep_the_float_facts_grid_best_relies_on(amps, log_p, divisions):
     # j5 >= j1 and j5 >= j3 elementwise, and j5 never rises along either
-    # user's level axis, on the face exactly as grid_best builds it
+    # user's level axis, on every piece of every lattice exactly as
+    # grid_best and grid_region build it: the bin face, the beta3 = 0
+    # face, the bin-only line and both time-share pieces
     p = 10.0 ** log_p
     g = LinkGains(g12=amps[0], g21=amps[1], g1r=amps[2], gr1=amps[3], g2r=amps[4], gr2=amps[5], p=p)
     levels = oracle._levels(p, p / divisions)
-    j1, _, j3, _, j5 = oracle._bounds(g, oracle._face(levels, p, bin_power=True))
-    assert np.all(j5 >= j1) and np.all(j5 >= j3)
-    assert np.all(np.diff(j5, axis=0) <= 0.0) and np.all(np.diff(j5, axis=1) <= 0.0)
+    for restriction in LATTICE_RESTRICTIONS:
+        for piece in oracle._pieces(restriction, levels, p):
+            j1, _, j3, _, j5 = oracle._bounds(g, piece)
+            assert np.all(j5 >= j1) and np.all(j5 >= j3)
+            assert np.all(np.diff(j5, axis=0) <= 0.0) and np.all(np.diff(j5, axis=1) <= 0.0)
 
 
 def test_grid_best_memory_stays_linear_in_the_face():
@@ -353,6 +361,47 @@ def test_grid_best_memory_stays_linear_in_the_face():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+def test_grid_region_memory_stays_linear_in_the_face():
+    # step p/40 as above: one n * n * m array of floats alone would take
+    # about 11.6 MB
+    tracemalloc.start()
+    try:
+        grid_region(R3T5_GAINS, step=R3T5_GAINS.p / 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
+
+
+@st.composite
+def crossing_inputs(draw):
+    """``_crossing`` arguments of random shape from small value sets, so
+    ties are common: ``j5`` never rising along the other user's level
+    axis, and a random ``valid`` mask that may leave a relay pair with no
+    valid level."""
+    n1, n, m = (draw(st.integers(1, hi)) for hi in (4, 9, 5))
+    own = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n1 * m, max_size=n1 * m)))
+    other = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=n * m, max_size=n * m)))
+    valid = np.array(draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m)))
+    j5 = np.array(draw(st.lists(st.lists(st.sampled_from([0.5, 1.0, 2.0, 2.5, 3.0]), min_size=n, max_size=n),
+                                min_size=n1, max_size=n1)))
+    return own.reshape(n1, m), other.reshape(n, m), valid.reshape(n, m), -np.sort(-j5, axis=1)
+
+
+@given(crossing_inputs())
+# relay pair 1 has no valid level, and at relay pair 0 the second level ties the first
+@example((np.zeros((2, 2)), np.array([[1.0, 0.5], [1.0, 0.5]]), np.array([[True, False], [True, False]]),
+          np.array([[2.0, 1.0], [1.0, 1.0]])))
+def test_crossing_returns_the_best_and_its_first_level(args):
+    own, other, valid, j5 = args
+    best, level = oracle._crossing(own, other, valid, j5)
+    # brute force over (favored level, other level, relay pair)
+    every = np.minimum(other[None], j5[:, :, None] - own[:, None, :])
+    every = np.where(valid[None], every, -np.inf)
+    assert np.array_equal(best, every.max(axis=1))
+    assert np.array_equal(level, every.argmax(axis=1))
 
 
 @given(
@@ -421,16 +470,23 @@ def reference_region(g, step, restriction):
     return tuple(vertices), tuple(sources)
 
 
-# direct-only is the analytic rectangle; every other restriction has a lattice
-LATTICE_RESTRICTIONS = [r for r in SchemeRestriction if r != SchemeRestriction.DIRECT_ONLY]
-
-
 @given(
     amps=st.lists(amplitude, min_size=6, max_size=6),
     log_p=st.floats(min_value=-6.0, max_value=4.0),
     divisions=st.floats(min_value=6.0, max_value=12.0),
     restriction=st.sampled_from(LATTICE_RESTRICTIONS),
 )
+# exact ties everywhere, so the first candidate decides each source:
+# symmetric gains, relay links at zero, and (last) gains on which the
+# sources change if grid_region's candidates leave candidate order
+@example(amps=[0.5, 0.5, 1.0, 2.0, 1.0, 2.0], log_p=0.0, divisions=8.0, restriction=SchemeRestriction.COMPOSITE)
+@example(amps=[0.5, 0.5, 1.0, 2.0, 1.0, 2.0], log_p=0.0, divisions=8.0, restriction=SchemeRestriction.TIME_SHARE)
+@example(amps=[0.7, 0.7, 0.0, 0.0, 0.0, 0.0], log_p=1.0, divisions=10.0, restriction=SchemeRestriction.COMPOSITE)
+@example(amps=[0.0] * 6, log_p=0.0, divisions=6.0, restriction=SchemeRestriction.COMPOSITE)
+@example(amps=[0.0, 0.0, 1.0, 0.0, 1.0, 1.0], log_p=2.0, divisions=1.0, restriction=SchemeRestriction.COMPOSITE)
+@example(amps=[2.0, 0.0, 1.0, 0.0, 1.0, 1.0], log_p=1.0, divisions=6.0,
+         restriction=SchemeRestriction.BLOCK_MARKOV_ONLY)
+@example(amps=[1.0, 1.0, 1.0, 1.0, 1.0, 3.0], log_p=0.0, divisions=12.0, restriction=SchemeRestriction.COMPOSITE)
 def test_grid_region_matches_materialized_lattice(amps, log_p, divisions, restriction):
     p = 10.0 ** log_p
     g = LinkGains(g12=amps[0], g21=amps[1], g1r=amps[2], gr1=amps[3], g2r=amps[4], gr2=amps[5], p=p)
