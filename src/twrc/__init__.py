@@ -26,7 +26,6 @@ from .oracle import (
     DEFAULT_GRID_CAP,
     RegionHull,
     SchemeRestriction,
-    audit_grid_best,
     grid_best,
     grid_region,
     hull_contains,
@@ -37,7 +36,6 @@ from .optimizer import (
     ACTIVITY_THRESHOLD,
     KktDiagnostics,
     SolveResult,
-    boundary_trace,
     check_full_power,
     min_relay_power,
     solve,
@@ -95,9 +93,7 @@ __all__ = [
     "ValidationError",
     "WrongRegimeError",
     "assignment_for_gains",
-    "audit_grid_best",
     "best_weighted_point",
-    "boundary_trace",
     "capacity",
     "check_full_power",
     "classify",

@@ -51,13 +51,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import nnls
 
 from .channel import LinkGains, validate_gains
-from .errors import NoRootError, ValidationError, WrongRegimeError, check_number
+from .errors import NoRootError, WrongRegimeError, check_number
 from .rate_region import (
     PowerAllocation,
     RateConstraints,
@@ -119,9 +119,6 @@ _RIDGE = 1e-12
 # kernel input (beta1, beta2, s1, s2, f1, f2), and the input's slope in
 # it: beta_i = p - alpha_i, f1 = p - pw2, f2 = p - pw1.
 _INPUT_COLUMNS = ((2, -1.0), (3, -1.0), (6, 1.0), (7, 1.0), (5, -1.0), (4, -1.0))
-# Flat cells of the 8x8 Hessian that the curvature of s_i**2 / alpha_i
-# reaches: (alpha_i, alpha_i), (alpha_i, s_i), (s_i, alpha_i), (s_i, s_i).
-_CONE_CELLS = np.array([2 * 9, 2 * 8 + 6, 6 * 8 + 2, 6 * 9, 3 * 9, 3 * 8 + 7, 7 * 8 + 3, 7 * 9])
 
 
 @dataclass(frozen=True)
@@ -226,13 +223,14 @@ def _primal_dual(k: RateKernel, p: float,
     rows[[0, 1, 4], 0] = rows[[2, 3, 4], 1] = _LN2
     rows[[7, 9, 12, 13], [2, 3, 0, 1]] = rows[[5, 6], [4, 5]] = -1.0
     rows[[8, 10], [2, 3]] = rows[11, [4, 5]] = 1.0
+    grads, grads_t = rows[:14], rows[:14].T
     slopes = [(bound, _INPUT_COLUMNS[v][0], _INPUT_COLUMNS[v][1] * coef * p) for bound, v, coef in k.table]
     cells = [8 * bound + col for bound, col, _ in slopes]
     cells = np.array(cells + [8 * 14 + cell for cell in cells] + [42, 46, 51, 55])
 
     def rows_at(z):
-        """The 14 rows at ``z`` and the five ``arg_k``, or None outside
-        the domain, where every row is negative."""
+        """The 14 rows at ``z``, negated, and the five ``arg_k``, or None
+        outside the domain, where every row is negative."""
         r1, r2, a1, a2, q1, q2, s1, s2 = z
         args = k.log_args(p * (1.0 - a1), p * (1.0 - a2), p * s1, p * s2, p * (1.0 - q2), p * (1.0 - q1))
         if min(args) <= 0.0 or a1 <= 0.0 or a2 <= 0.0:
@@ -240,7 +238,7 @@ def _primal_dual(k: RateKernel, p: float,
         ln1, ln2, ln3, ln4, ln5 = map(math.log, args)
         f = (_LN2 * r1 - ln1, _LN2 * r1 - ln2, _LN2 * r2 - ln3, _LN2 * r2 - ln4, _LN2 * (r1 + r2) - ln5,
              s1 * s1 / a1 - q1, s2 * s2 / a2 - q2, -a1, a1 - 1.0, -a2, a2 - 1.0, q1 + q2 - 1.0, -1.0 - r1, -1.0 - r2)
-        return (np.array(f), args) if max(f) < 0.0 else None
+        return (-np.array(f), args) if max(f) < 0.0 else None
 
     def gradients(z, args, lam):
         """Set the rows' gradients at ``z``; the dual residual
@@ -249,20 +247,24 @@ def _primal_dual(k: RateKernel, p: float,
         logs = [coef / args[bound] for bound, _, coef in slopes]
         u1, u2 = s1 / a1, s2 / a2
         rows.flat[cells] = [-x for x in logs] + logs + [-u1 * u1, 2.0 * u1, -u2 * u2, 2.0 * u2]
-        return float(np.abs(rows[:14].T @ lam - c).max())
+        return float(np.maximum.reduce(np.abs(grads_t @ lam - c)))
 
-    def newton(z, f, lam, t):
+    def newton(z, nf, lam, t):
         """The Newton step in ``z`` toward the central point of ``t``, at
-        the gradients ``gradients`` set."""
+        the gradients ``gradients`` set and the negated rows ``nf``."""
         _, _, a1, a2, _, _, s1, s2 = z
         # sum_i lam_i hess(f_i) + lam_i / -f_i grad(f_i) grad(f_i)': a rate
-        # row's hess is ln arg_k's gradient squared, a cone's is added at
-        # _CONE_CELLS
-        hess = (rows.T * np.concatenate((lam / -f, lam[:5]))) @ rows
+        # row's hess is ln arg_k's gradient squared, a cone's reaches
+        # (alpha_i, alpha_i), (alpha_i, s_i), (s_i, alpha_i) and (s_i, s_i)
+        hess = (rows.T * np.concatenate((lam / nf, lam[:5]))) @ rows
         u1, u2, h1, h2 = s1 / a1, s2 / a2, 2.0 * lam[5] / a1, 2.0 * lam[6] / a2
-        hess.flat[_CONE_CELLS] += [h1 * u1 * u1, -h1 * u1, -h1 * u1, h1, h2 * u2 * u2, -h2 * u2, -h2 * u2, h2]
+        for a, s, h, u in ((2, 6, h1, u1), (3, 7, h2, u2)):
+            hess[a, a] += h * u * u
+            hess[a, s] += -h * u
+            hess[s, a] += -h * u
+            hess[s, s] += h
         hess.flat[::9] *= 1.0 + _RIDGE
-        return np.linalg.solve(hess, c + (1.0 / t) * (rows[:14].T @ (1.0 / f)))
+        return np.linalg.solve(hess, c - (1.0 / t) * (grads_t @ (1.0 / nf)))
 
     # a strictly feasible start: half of each user's power repeated, a
     # third of the relay's coherent per user, rates below every bound;
@@ -270,28 +272,28 @@ def _primal_dual(k: RateKernel, p: float,
     bits = [math.log2(a) for a in k.log_args(0.5 * p, 0.5 * p, 0.0, 0.0, 2.0 * p / 3.0, 2.0 * p / 3.0)]
     z = [0.5 * min(bits[0], bits[1], 0.5 * bits[4]) - 0.5, 0.5 * min(bits[2], bits[3], 0.5 * bits[4]) - 0.5,
          0.5, 0.5, 1.0 / 3.0, 1.0 / 3.0, 0.0, 0.0]
-    f, args = rows_at(z)
-    lam, step, stop, gap = -1.0 / f, 1.0, "cap", math.inf
+    nf, args = rows_at(z)
+    lam, step, stop, gap, base = 1.0 / nf, 1.0, "cap", math.inf, np.array(z)
     for count in range(_ITERATIONS):
-        gap, last = float(-f @ lam), gap
+        gap, last = float(nf @ lam), gap
         residual = gradients(z, args, lam)
         if gap <= _GAP and (residual <= _DUAL_TOL or step < _STALLED or gap >= last):
             stop = "converged" if residual <= _DUAL_TOL else "collapsed"
             break
         t = (_GROWTH if step >= _SHORT else 1.0) * 14.0 / gap
-        dz = newton(z, f, lam, t)
-        slack = rows[:14] @ dz
-        dlam = (1.0 / t + lam * slack) / -f - lam
+        dz = newton(z, nf, lam, t)
+        slack = grads @ dz
+        dlam = (1.0 / t + lam * slack) / nf - lam
         # at most _TO_BOUNDARY of the way to a multiplier's zero or a
         # linearized row's zero, then halved until the point is back in the
         # domain: at the latest at step 0, where it is z, unless dz is not
         # finite
-        rate = float(np.concatenate((dlam / -lam, slack / -f)).max())
-        step, base = 1.0 if rate <= _TO_BOUNDARY else _TO_BOUNDARY / rate, np.array(z)
-        while (found := rows_at(trial := (base + step * dz).tolist())) is None and step > 0.0:
+        rate = float(np.maximum.reduce(np.concatenate((dlam / -lam, slack / nf))))
+        step = 1.0 if rate <= _TO_BOUNDARY else _TO_BOUNDARY / rate
+        while (found := rows_at(trial := (moved := base + step * dz).tolist())) is None and step > 0.0:
             step *= 0.5
         if found is not None:
-            z, lam, (f, args) = trial, lam + step * dlam, found
+            z, base, lam, (nf, args) = trial, moved, lam + step * dlam, found
     else:
         count = _ITERATIONS
     return (p * z[2], p * z[3], p * z[4], p * z[5]), count, stop, gap, residual
@@ -589,13 +591,3 @@ def check_full_power(g: LinkGains, res: SolveResult) -> bool:
     relay_ok = (alloc.pw1 + alloc.pw2 <= act
                 or abs(alloc.relay_total - p) <= tol)
     return users_ok and relay_ok
-
-
-def boundary_trace(g: LinkGains, mu_samples: Iterable[float]) -> list[RatePoint]:
-    """Rate points tracing the region boundary for ascending weights."""
-    if not isinstance(mu_samples, Iterable):
-        raise ValidationError(f"mu_samples must be an iterable of weights, got {mu_samples!r}")
-    samples = [validate_mu(m) for m in mu_samples]
-    if any(b < a for a, b in zip(samples, samples[1:])):
-        raise ValidationError("mu_samples must be sorted ascending")
-    return [solve(g, m).rates for m in samples]

@@ -16,16 +16,15 @@ points x relay points (:func:`_pieces`), and none is materialized: each
 bound is evaluated once on the points it reads, in one broadcast kernel
 call (:func:`_bounds`). The rates are bit-identical to evaluating every
 allocation alone, which the tests do on the materialized lattice as
-their reference. :func:`local_grid_best` and :func:`audit_grid_best`
-broadcast the pentagon corners back to one user-1 point at a time
-(:func:`_corners`). :func:`grid_best` and :func:`grid_region` walk no
-points. Two float facts of the bounds, ``j5 >= j1, j3`` and ``j5``
-never rising with either user's level, make the favored user's rate at
-each corner independent of the other user's level, so an exact crossing
-search (:func:`_crossing`) finds, per favored level and relay pair, the
-other user's best rate and the first level that reaches it, in O(n m
-log n) time and O(n m) memory for ``n`` levels and ``m`` relay pairs.
-Those are the only points that can hold grid_best's maximum or survive
+their reference. No search walks the points: the pentagon corners have
+one route, :func:`_corner_best`. Two float facts of the bounds, ``j5 >=
+j1, j3`` and ``j5`` never rising with either user's level, make the
+favored user's rate at each corner independent of the other user's
+level, so an exact crossing search (:func:`_crossing`) finds, per
+favored level and relay pair, the other user's best rate, and
+:func:`_first_level` the first level that reaches it, in O(n m log n)
+time and O(n m) memory for ``n`` levels and ``m`` relay pairs. Those
+are the only points that can hold grid_best's maximum or survive
 grid_region's Pareto filter, with the same floats and the same
 tie-breaks as a point-by-point search.
 
@@ -47,7 +46,7 @@ import numpy as np
 
 from .channel import LinkGains, validate_gains
 from .errors import GridCapError, ValidationError, check_count, check_number
-from .rate_region import PowerAllocation, RateKernel, RatePoint, capacity, pentagon_corner, validate_mu
+from .rate_region import PowerAllocation, RateKernel, RatePoint, capacity, validate_mu
 
 DEFAULT_GRID_CAP = 10 ** 8
 GRID_CAP_ENV = "TWRC_GRID_CAP"
@@ -220,24 +219,27 @@ def _bounds(g: LinkGains, piece: _Piece) -> tuple[np.ndarray, ...]:
 
 
 def _corner_best(g: LinkGains, piece: _Piece, favors: Iterable[bool]
-                 ) -> Iterator[tuple[bool, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+                 ) -> Iterator[tuple[bool, np.ndarray, np.ndarray, np.ndarray, tuple]]:
     """The points of ``piece`` that can hold each pentagon corner's
     maximum or Pareto points, one per favored-user level and relay pair:
-    ``(f, r1, r2, level, valid)`` for the corner favoring user 1 when
-    ``f``, each array indexed (favored-user level, relay pair). ``level``
-    is the other user's first level with the most for the other user,
-    ``r1, r2`` are the corner's rates there and ``valid`` marks the
-    favored user's valid points, as in :func:`_corners`; where it is
-    False the other arrays mean nothing.
+    ``(f, r1, r2, valid, search)`` for the corner favoring user 1 when
+    ``f``, each array indexed (favored-user level, relay pair). ``r1,
+    r2`` are the corner's rates at the other user's best level and
+    ``valid`` marks the favored user's valid points; where it is False
+    the rates mean nothing. ``_first_level(*search)`` is that level, the
+    other user's first with the most for the other user. An allocation
+    is valid when each user the relay spends coherent power ``pw_i > 0``
+    on sends a coherent part ``alpha_i > 0``.
 
     At the corner favoring user 1, ``r1 = min(j1, j2)`` whatever user
     2's level, since ``j5 >= j1`` holds elementwise in floats, so every
     user-2 level at one (user-1 level, relay pair) gives the same
-    ``r1``; :func:`_crossing` finds the best ``r2`` among them and its
-    first level. User 2's corner swaps the users. Each piece of
-    :func:`_pieces` gives the other user a valid point at every relay
-    pair (where its coherent power is positive, its levels reach
-    ``p > 0``), so the rates are finite wherever ``valid`` holds.
+    ``r1``; :func:`_crossing` finds the best ``r2`` among them. User 2's
+    corner swaps the users. Each piece of :func:`_pieces` gives the
+    other user a valid point at every relay pair (where its coherent
+    power is positive, its levels reach ``p > 0``), so the rates are
+    finite wherever ``valid`` holds; on other pieces the other user's
+    rate is -inf where it has no valid level.
     """
     j1, j2, j3, j4, j5 = _bounds(g, piece)
     j5 = j5[:, :, 0]
@@ -249,41 +251,9 @@ def _corner_best(g: LinkGains, piece: _Piece, favors: Iterable[bool]
              (piece.pw2 <= 0.0) | (piece.alpha2[:, None] > 0.0))
     for f in favors:
         u, o = (0, 1) if f else (1, 0)
-        other, level = _crossing(own[u], own[o], valid[o], j5 if f else j5.T)
+        other, search = _crossing(own[u], own[o], valid[o], j5 if f else j5.T)
         r1, r2 = (own[u], other) if f else (other, own[u])
-        yield f, r1, r2, level, valid[u]
-
-
-def _corners(g: LinkGains, piece: _Piece,
-             favors: Iterable[bool]) -> Iterator[tuple[int, np.ndarray, dict]]:
-    """The pentagon corners of ``piece``, one user-1 point at a time:
-    ``(i, valid, corners)``, for the searches that read every point.
-    ``valid`` is the mask of valid allocations over (user-2 point, relay
-    point), whose ravel order is candidate order, and ``corners[f]`` is
-    :func:`pentagon_corner` favoring user 1 when ``f``, as two arrays of
-    that shape. An allocation is valid when each user the relay spends
-    coherent power ``pw_i > 0`` on sends a coherent part ``alpha_i > 0``.
-
-    The bounds come from :func:`_bounds`, so the rates are
-    bit-identical to evaluating each allocation alone.
-    """
-    j1, j2, j3, j4, j5 = _bounds(g, piece)
-    valid = (piece.pw2 <= 0.0) | (piece.alpha2[:, None] > 0.0)
-    valid_idle = valid & (piece.pw1 <= 0.0)
-    for i, a1_val in enumerate(piece.alpha1):
-        j = (j1[i], j2[i], j3, j4, j5[i])
-        yield i, (valid if a1_val > 0.0 else valid_idle), {f: pentagon_corner(*j, f) for f in favors}
-
-
-def _best(g: LinkGains, mu: float, piece: _Piece) -> float:
-    """Best weighted sum at either pentagon corner over the valid points
-    of ``piece``, or -inf when none is valid."""
-    best = -math.inf
-    for _, valid, corners in _corners(g, piece, (True, False)):
-        if valid.any():
-            best = max(best, *(float(np.max(mu * r1[valid] + (1.0 - mu) * r2[valid]))
-                               for r1, r2 in corners.values()))
-    return best
+        yield f, r1, r2, valid[u], search
 
 
 def _pareto_mask(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -358,7 +328,8 @@ def grid_region(g: LinkGains, step: float = 0.05,
 
     Only the points that can survive the Pareto filter are generated:
     at each corner, per favored-user level and relay pair, the other
-    user's first level with its best rate (:func:`_corner_best`). Every
+    user's first level with its best rate (:func:`_corner_best`,
+    :func:`_first_level`). Every
     other point of that row has the same favored rate and either less
     for the other user or as much and a later place in candidate order,
     so the filter's order puts the generated point first: the other
@@ -393,7 +364,8 @@ def grid_region(g: LinkGains, step: float = 0.05,
         # point, corner (user 1's first), user-2 point, relay point
         shape = (len(piece.alpha1), 2, len(piece.alpha2), len(piece.pw1))
         found = []
-        for f, r1, r2, level, valid in _corner_best(g, piece, (True, False)):
+        for f, r1, r2, valid, search in _corner_best(g, piece, (True, False)):
+            level = _first_level(*search)
             u, r = np.nonzero(valid)
             i, k = (u, level[valid]) if f else (level[valid], u)
             found.append((r1[valid], r2[valid], np.ravel_multi_index((i, int(not f), k, r), shape)))
@@ -447,9 +419,8 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025) -> list[f
     dominates it, so the result may sit that far below a search of the
     whole lattice. :func:`grid_region` searches every piece, because
     each restricted lattice must stay a literal subset of the composite
-    one. :func:`local_grid_best` searches a box around a solver point,
-    which need not meet the full-power face, and :func:`audit_grid_best`
-    is the independent unreduced check, so neither is pruned.
+    one, and :func:`local_grid_best` both corners of a box around a
+    solver point, which need not meet the full-power face.
 
     The face is one :func:`_bounds` call, shared across all weights, so
     checking several weights costs barely more than one. Its search is
@@ -479,7 +450,7 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025) -> list[f
     _check_cap(len(levels) ** 2 * _simplex_pair_count(levels, p))
     favor1 = [mu >= 0.5 for mu in mus]
     best = [-math.inf] * len(mus)
-    for f, r1, r2, _, valid in _corner_best(g, _face(levels, p, bin_power=True), set(favor1)):
+    for f, r1, r2, valid, _ in _corner_best(g, _face(levels, p, bin_power=True), set(favor1)):
         for k, mu in enumerate(mus):
             if favor1[k] == f:
                 best[k] = float(np.max((mu * r1 + (1.0 - mu) * r2)[valid]))
@@ -487,15 +458,15 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025) -> list[f
 
 
 def _crossing(own: np.ndarray, other: np.ndarray, valid: np.ndarray,
-              j5: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+              j5: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``max over valid k of min(other[k, r], j5[i, k] - own[i, r])`` for
-    every favored-user level ``i`` and relay pair ``r``, and the first
-    ``k`` that reaches it: the other user's best rate at the favored
-    corner and its level, with ``own`` the favored user's rate,
-    ``other`` the min of the other user's own bounds, ``valid`` its valid
-    points and ``j5`` indexed (favored level, other level). Where no
-    ``k`` is valid the rate is -inf and the level 0, as ``np.argmax``
-    gives on an all -inf row.
+    every favored-user level ``i`` and relay pair ``r``: the other user's
+    best rate at the favored corner, with ``own`` the favored user's
+    rate, ``other`` the min of the other user's own bounds, ``valid`` its
+    valid points and ``j5`` indexed (favored level, other level). Where
+    no ``k`` is valid the rate is -inf. Also returns the search's state,
+    ``(pv, at, lower)``, from which :func:`_first_level` finds the first
+    ``k`` that reaches the rate.
 
     With ``w = j5[i, k] - own[i, r]``, which never rises with ``k``, and
     ``pv`` the prefix max of ``other`` over ``k``, which never falls,
@@ -503,10 +474,7 @@ def _crossing(own: np.ndarray, other: np.ndarray, valid: np.ndarray,
     ``pv[k]`` is some ``other[j]`` with ``j <= k`` and ``w[j] >= w[k]``.
     ``pv < w`` holds on exactly the levels below the crossing ``c``, and
     from ``c`` on ``min(pv, w) = w`` never rises, so the maximum is
-    ``max(pv[c - 1], w[c])``, either term absent at the ends. Below ``c``
-    each ``min`` is ``other`` itself, so when ``pv[c - 1] >= w[c]`` the
-    first maximizer is ``pv[c - 1]``'s first level; otherwise it is
-    ``c``, where ``other >= w`` and every later ``w`` is no larger. A
+    ``max(pv[c - 1], w[c])``, either term absent at the ends. A
     branchless bisection finds ``c`` for every ``(i, r)`` at once, in
     about ``log2 n`` gathers of ``own``'s shape.
     """
@@ -522,27 +490,42 @@ def _crossing(own: np.ndarray, other: np.ndarray, valid: np.ndarray,
     w5[:, :n] = j5
     cols = np.arange(m) * size  # start of each relay pair's row of pv
     rows = (np.arange(len(own)) * size)[:, None]  # start of each favored level's row of w5
-    pv, w5 = pv.ravel(), w5.ravel()
+    flat, w5 = pv.ravel(), w5.ravel()
     c = np.zeros(own.shape, dtype=np.intp)
     half = size >> 1
     while half:
         # probe level c + half - 1: pv's prefix through it against w there
-        c += (pv.take(cols + half + c) < w5.take(rows + (half - 1) + c) - own) * half
+        c += (flat.take(cols + half + c) < w5.take(rows + (half - 1) + c) - own) * half
         half >>= 1
     at = cols + c
-    best = pv.take(at)
+    prefix = flat.take(at)
     w = w5.take(rows + c)
     w -= own
-    lower = best >= w
-    np.maximum(best, w, out=best)
+    return np.maximum(prefix, w), (pv, at, prefix >= w)
+
+
+def _first_level(pv: np.ndarray, at: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """The first level that reaches :func:`_crossing`'s best rate, from
+    its state: ``pv[r, k]``, the prefix max of the other user's valid
+    rates below level ``k``, the flat index ``at = r * size + c`` of each
+    crossing ``c`` into it, and ``lower``, where ``pv[c - 1] >= w[c]``.
+    Where no level is valid it is 0, as ``np.argmax`` gives on an all
+    -inf row.
+
+    Below the crossing each ``min`` is ``other`` itself, so where
+    ``lower`` holds the first maximizer is ``pv[c - 1]``'s first level;
+    elsewhere it is ``c``, where ``other >= w`` and every later ``w`` is
+    no larger.
+    """
+    m, size = pv.shape
+    level = at % size
     # first[r, k]: the first level that reaches pv[r, k], which is the
     # last level j < k where the prefix max rose (0 if none)
-    pv = pv.reshape(m, size)
     first = np.zeros((m, size), dtype=np.int32)
     np.multiply(pv[:, 1:] > pv[:, :-1], np.arange(size - 1, dtype=np.int32), out=first[:, 1:])
     np.maximum.accumulate(first, axis=1, out=first)
-    c[lower] = first.ravel().take(at[lower])
-    return best, c
+    level[lower] = first.ravel().take(at[lower])
+    return level
 
 
 def local_grid_best(g: LinkGains, mu: float, center: PowerAllocation,
@@ -550,11 +533,17 @@ def local_grid_best(g: LinkGains, mu: float, center: PowerAllocation,
     """Best weighted sum on a dense box around a candidate optimum.
 
     Varies (alpha1, alpha2, pw1, pw2, beta3) within ``radius`` of the
-    center, clipped to the feasible set. Used to probe whether a solver
-    point is locally beatable. ``radius`` and the center's fields must be
-    finite, ``radius`` also nonnegative, and ``points_per_axis`` a
-    positive integer; the cap counts the ``points_per_axis ** 5`` points
-    of the box.
+    center, clipped to the feasible set, users at full power. Used to
+    probe whether a solver point is locally beatable. ``radius`` and the
+    center's fields must be finite, ``radius`` also nonnegative, and
+    ``points_per_axis`` a positive integer; the cap counts the
+    ``points_per_axis ** 5`` points of the box.
+
+    The box is a product piece whose user levels ascend, so the float
+    facts behind :func:`_crossing` hold on it and :func:`_corner_best`
+    gives, at both corners, the same best as every point of the box.
+    Unlike the lattice pieces, a relay point of the box may leave the
+    other user no valid level, which :func:`_crossing` reports as -inf.
     """
     validate_gains(g)
     mu = validate_mu(mu)
@@ -574,34 +563,12 @@ def local_grid_best(g: LinkGains, mu: float, center: PowerAllocation,
     q1, q2, b3 = (x.ravel() for x in np.meshgrid(axis(center.pw1), axis(center.pw2),
                                                  axis(center.beta3), indexing="ij"))
     ok = q1 + q2 + b3 <= p * (1.0 + 1e-12)
-    return _best(g, mu, _Piece(a1, p - a1, a2, p - a2, q1[ok], q2[ok], b3[ok]))
-
-
-def audit_grid_best(g: LinkGains, mu: float, step: float) -> float:
-    """Best weighted sum over the unreduced lattice.
-
-    Unlike :func:`grid_best` this varies all seven powers, including
-    underusing the user budgets, and exists to confirm empirically that
-    the full-power reductions lose nothing. Keep the step coarse.
-    """
-    validate_gains(g)
-    mu = validate_mu(mu)
-    step = _validate_step(step, g.p)
-    p = g.p
-    levels = _levels(p, step)
-    # every q1 level has at least the relay triple (q1, 0, 0)
-    _check_cap(_simplex_pair_count(levels, p) ** 2 * len(levels), at_least=True)
-    pa, pb = _simplex_pairs(levels, p)
-    # relay triples (q1, q2, b3) within budget, counted one q1 level at a
-    # time, so no array is n**3 and the cap is checked before any is built
-    q2g, b3g = np.meshgrid(levels, levels, indexing="ij")
-    budget = p * (1.0 + 1e-12)
-    counts = [int(np.count_nonzero(q1 + q2g + b3g <= budget)) for q1 in levels]
-    _check_cap(len(pa) ** 2 * sum(counts))
-    masks = [q1 + q2g + b3g <= budget for q1 in levels]
-    relay = (np.repeat(levels, counts), np.concatenate([q2g[m] for m in masks]),
-             np.concatenate([b3g[m] for m in masks]))
-    return _best(g, mu, _Piece(pa, pb, pa, pb, *relay))
+    best = -math.inf
+    for _, r1, r2, valid, _ in _corner_best(g, _Piece(a1, p - a1, a2, p - a2, q1[ok], q2[ok], b3[ok]),
+                                             (True, False)):
+        valid = valid & (np.minimum(r1, r2) > -math.inf)
+        best = max(best, float(np.max(mu * r1[valid] + (1.0 - mu) * r2[valid], initial=-math.inf)))
+    return best
 
 
 # absorbs interpolation round-off so exact-subset containment at slack 0

@@ -22,13 +22,25 @@ def corner_rates(g, a1, b1, a2, b2, q1, q2, b3):
     return (*pentagon_corner(*j, True), *pentagon_corner(*j, False))
 
 
+def valid(a1, a2, q1, q2):
+    """Which allocations are valid: those in which each user the relay
+    spends coherent power on sends a coherent part."""
+    return ((q1 <= 0.0) | (a1 > 0.0)) & ((q2 <= 0.0) | (a2 > 0.0))
+
+
 def valid_points(a1, a2, q1, q2, b3):
-    """The arguments broadcast to flat arrays, keeping the allocations in
-    which each user the relay spends coherent power on sends a coherent
-    part."""
+    """The arguments broadcast to flat arrays, keeping the valid
+    allocations."""
     a1, a2, q1, q2, b3 = (np.ravel(x) for x in np.broadcast_arrays(a1, a2, q1, q2, b3))
-    ok = ((q1 <= 0.0) | (a1 > 0.0)) & ((q2 <= 0.0) | (a2 > 0.0))
+    ok = valid(a1, a2, q1, q2)
     return tuple(x[ok] for x in (a1, a2, q1, q2, b3))
+
+
+def best_sum(mu, ok, r1a, r2a, r1b, r2b):
+    """Best weighted sum at either corner (as ``corner_rates`` gives them)
+    over the points where ``ok`` holds, or -inf when it holds nowhere."""
+    return max(float(np.max(mu * r1 + (1.0 - mu) * r2, where=ok, initial=-np.inf))
+               for r1, r2 in ((r1a, r2a), (r1b, r2b)))
 
 
 def lattice_batches(restriction, levels, p):
@@ -81,16 +93,42 @@ def face_best(g, mus, levels, p):
 
 
 def local_box_best(g, mu, center, radius, points_per_axis):
-    """``local_grid_best`` over its box, materialized: every combination
-    of the five axes, then the relay budget and validity filters; the
-    best weighted sum at either corner, or -inf when no point is left."""
+    """Best weighted sum at either pentagon corner over a box around
+    ``center``: ``points_per_axis`` levels of each of ``alpha1``,
+    ``alpha2``, ``pw1``, ``pw2`` and ``beta3`` within ``radius`` of the
+    center's, clipped to ``[0, p]``, users at full power; or -inf when no
+    point is valid. User-1 levels x user-2 levels x the relay triples
+    within the relay budget are broadcast, so every allocation is
+    evaluated elementwise, with the floats of evaluating it alone."""
     p = g.p
-    axes = [np.linspace(min(max(0.0, v - radius), p), max(min(p, v + radius), 0.0), points_per_axis)
-            for v in (center.alpha1, center.alpha2, center.pw1, center.pw2, center.beta3)]
-    a1, a2, q1, q2, b3 = (x.ravel() for x in np.meshgrid(*axes, indexing="ij"))
+    a1, a2, q1, q2, b3 = (np.linspace(min(max(0.0, v - radius), p), max(min(p, v + radius), 0.0), points_per_axis)
+                          for v in (center.alpha1, center.alpha2, center.pw1, center.pw2, center.beta3))
+    q1, q2, b3 = (x.ravel() for x in np.meshgrid(q1, q2, b3, indexing="ij"))
     budget = q1 + q2 + b3 <= p * (1.0 + 1e-12)
-    a1, a2, q1, q2, b3 = valid_points(a1[budget], a2[budget], q1[budget], q2[budget], b3[budget])
-    if len(a1) == 0:
-        return -np.inf
-    r1a, r2a, r1b, r2b = corner_rates(g, a1, p - a1, a2, p - a2, q1, q2, b3)
-    return max(float(np.max(mu * r1a + (1.0 - mu) * r2a)), float(np.max(mu * r1b + (1.0 - mu) * r2b)))
+    q1, q2, b3 = q1[budget], q2[budget], b3[budget]
+    a1, a2 = a1[:, None, None], a2[:, None]
+    return best_sum(mu, valid(a1, a2, q1, q2), *corner_rates(g, a1, p - a1, a2, p - a2, q1, q2, b3))
+
+
+def unreduced_best(g, mu, levels, p):
+    """Best weighted sum at either pentagon corner over the unreduced
+    lattice on ``levels``: each user's ``(alpha_i, beta_i)`` and the
+    relay's ``(pw1, pw2, beta3)`` anywhere within their budgets, not only
+    at full power, every allocation evaluated on its own. It confirms
+    that the oracle's full-power reductions lose nothing. Keep the
+    lattice coarse: it has a point per user-1 split, user-2 split and
+    relay triple."""
+    budget = p * (1.0 + 1e-12)
+    a, b = np.meshgrid(levels, levels, indexing="ij")
+    pairs = a + b <= budget
+    alpha, beta = a[pairs], b[pairs]
+    q1, q2, b3 = np.meshgrid(levels, levels, levels, indexing="ij")
+    triples = q1 + q2 + b3 <= budget
+    q1, q2, b3 = q1[triples], q2[triples], b3[triples]
+    a2, b2 = alpha[:, None], beta[:, None]
+    best = -np.inf
+    # one user-1 split at a time (a 1-element array, so the kernel takes
+    # the array path), against every user-2 split and relay triple
+    for a1, b1 in zip(alpha[:, None], beta[:, None]):
+        best = max(best, best_sum(mu, valid(a1, a2, q1, q2), *corner_rates(g, a1, b1, a2, b2, q1, q2, b3)))
+    return best

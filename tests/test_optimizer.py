@@ -15,7 +15,6 @@ from twrc import (
     ValidationError,
     WrongRegimeError,
     best_weighted_point,
-    boundary_trace,
     check_full_power,
     classify,
     compute_constraints,
@@ -449,22 +448,18 @@ def test_solve_holds_on_extreme_inputs(amps, p, mu):
 
 
 class TestBoundaryTrace:
+    """The region's boundary, traced by solving at ascending weights."""
+
     def test_staircase_monotonicity(self):
-        mus = [k / 10 for k in range(11)]
-        points = boundary_trace(R3T5_GAINS, mus)
-        assert len(points) == 11
+        points = [solve(R3T5_GAINS, k / 10).rates for k in range(11)]
         for a, b in zip(points, points[1:]):
             assert b.r1 >= a.r1 - 1e-9
             assert b.r2 <= a.r2 + 1e-9
 
     def test_endpoint_weights_maximize_single_rates(self):
-        points = boundary_trace(R3T5_GAINS, [0.0, 0.5, 1.0])
+        points = [solve(R3T5_GAINS, m).rates for m in (0.0, 0.5, 1.0)]
         assert points[-1].r1 == max(pt.r1 for pt in points)
         assert points[0].r2 == max(pt.r2 for pt in points)
-
-    def test_rejects_unsorted_weights(self):
-        with pytest.raises(ValidationError, match="ascending"):
-            boundary_trace(R3T5_GAINS, [0.5, 0.25])
 
     def test_symmetric_gains_give_mirrored_points(self):
         g = LinkGains(g12=0.3, g21=0.3, g1r=0.5, g2r=0.5, gr1=0.8, gr2=0.8, p=1.0)

@@ -22,7 +22,6 @@ from twrc import (
     TECHNIQUE_TABLE,
     ValidationError,
     assignment_for_gains,
-    audit_grid_best,
     classify,
     compute_constraints,
     gains_from_geometry,
@@ -38,7 +37,7 @@ from twrc import (
 )
 
 from helpers import MAP_GEOMETRY, R3T5_GAINS, random_gains
-from oracle_reference import corner_rates, face_best, lattice_batches, local_box_best
+from oracle_reference import corner_rates, face_best, lattice_batches, local_box_best, unreduced_best
 
 
 @pytest.fixture(scope="module")
@@ -147,8 +146,7 @@ class TestGridRegion:
         lambda step: grid_region(R3T5_GAINS, step=step),
         lambda step: grid_region(R3T5_GAINS, step=step, restriction="ind"),
         lambda step: grid_best(R3T5_GAINS, [0.5], step=step),
-        lambda step: audit_grid_best(R3T5_GAINS, 0.5, step=step),
-    ], ids=["grid_region", "grid_region-ind", "grid_best", "audit_grid_best"])
+    ], ids=["grid_region", "grid_region-ind", "grid_best"])
     @pytest.mark.parametrize("step", [1e-13, 5e-324])
     def test_tiny_step_is_refused_before_allocating(self, monkeypatch, call, step):
         # 1e13 levels would take 80 TB; 1 / 5e-324 overflows to inf
@@ -246,7 +244,7 @@ class TestGridBest:
         for _ in range(2):
             g = random_gains(rng)
             res = solve(g, 0.75)
-            audit = audit_grid_best(g, 0.75, step=g.p / 8)
+            audit = unreduced_best(g, 0.75, oracle._levels(g.p, g.p / 8), g.p)
             assert audit <= res.weighted_sum + 1e-9
 
     def test_mu_validation(self):
@@ -396,7 +394,8 @@ def crossing_inputs(draw):
           np.array([[2.0, 1.0], [1.0, 1.0]])))
 def test_crossing_returns_the_best_and_its_first_level(args):
     own, other, valid, j5 = args
-    best, level = oracle._crossing(own, other, valid, j5)
+    best, search = oracle._crossing(own, other, valid, j5)
+    level = oracle._first_level(*search)
     # brute force over (favored level, other level, relay pair)
     every = np.minimum(other[None], j5[:, :, None] - own[:, None, :])
     every = np.where(valid[None], every, -np.inf)
@@ -412,6 +411,10 @@ def test_crossing_returns_the_best_and_its_first_level(args):
     points_per_axis=st.integers(min_value=1, max_value=6),
     mu=st.floats(min_value=0.0, max_value=1.0),
 )
+# a user clipped to alpha = 0 has no valid level at relay points that
+# spend coherent power on it; weighted by 0 they must still not count
+@example(amps=[1.0] * 6, log_p=0.0, center=[-0.5, 0.5, 0.0, 0.0, 0.5], radius=0.25, points_per_axis=3, mu=0.0)
+@example(amps=[1.0] * 6, log_p=0.0, center=[0.5, -0.5, 0.0, 0.0, 0.5], radius=0.25, points_per_axis=3, mu=1.0)
 def test_local_grid_best_matches_materialized_box(amps, log_p, center, radius, points_per_axis, mu):
     p = 10.0 ** log_p
     g = LinkGains(g12=amps[0], g21=amps[1], g1r=amps[2], gr1=amps[3], g2r=amps[4], gr2=amps[5], p=p)
@@ -687,45 +690,15 @@ class TestLocalAndAuditValidation:
         assert math.isfinite(got)
         assert got == local_grid_best(R3T5_GAINS, 0.75, near, radius=0.25)
 
-    @pytest.mark.parametrize("mu", [-0.1, 1.5, math.nan])
-    def test_audit_rejects_mu_outside_unit_interval(self, mu):
-        with pytest.raises(ValidationError, match="mu"):
-            audit_grid_best(R3T5_GAINS, mu, step=0.25)
-
     def test_local_checks_the_grid_cap(self, monkeypatch):
         # the default box holds 9 ** 5 points
         monkeypatch.setenv("TWRC_GRID_CAP", "10")
         with pytest.raises(GridCapError, match=rf"{9 ** 5} evaluations"):
             local_grid_best(R3T5_GAINS, 0.75, self.center, radius=0.02)
 
-    def test_audit_checks_the_cap_before_building_the_lattice(self, monkeypatch):
-        # step p/100 has 101 levels: the full relay meshgrid would take
-        # about 32 MB, counting the triples one level at a time well under 1
-        monkeypatch.setenv("TWRC_GRID_CAP", "1")
-        tracemalloc.start()
-        try:
-            with pytest.raises(GridCapError):
-                audit_grid_best(R3T5_GAINS, 0.75, step=0.01)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
-
-    def test_audit_refuses_a_fine_step_before_building_the_lattice(self, monkeypatch):
-        # 1501 levels pass the default cap; the simplex pairs and relay
-        # meshgrids would take about 74 MB and seconds to count
-        monkeypatch.delenv("TWRC_GRID_CAP", raising=False)
-        tracemalloc.start()
-        try:
-            with pytest.raises(GridCapError, match="at least"):
-                audit_grid_best(R3T5_GAINS, 0.75, step=1 / 1500)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
-
     def test_audit_matches_the_full_relay_meshgrid(self):
-        # the relay triples the cube mask keeps, in the same order
+        # the unreduced reference against every (user-1 split, user-2
+        # split) pair over the relay triples the cube mask keeps
         g, step = R3T5_GAINS, 0.25
         p = g.p
         levels = oracle._levels(p, step)
@@ -745,7 +718,7 @@ class TestLocalAndAuditValidation:
                     q1t[ok], q2t[ok], b3t[ok])
                 best = max(best, float(np.max(0.75 * r1a + 0.25 * r2a)),
                            float(np.max(0.75 * r1b + 0.25 * r2b)))
-        assert audit_grid_best(g, 0.75, step=step) == best
+        assert unreduced_best(g, 0.75, levels, p) == best
 
 
 def test_oracle_imports_only_the_rate_formulas():
