@@ -16,7 +16,7 @@ user 2's message (``g1r``, ``gr2``, ``g12``) use ``gamma2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import CoincidentNodesError, ValidationError, check_number
 
@@ -60,15 +60,7 @@ class LinkGains:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "g12": self.g12,
-            "g21": self.g21,
-            "g1r": self.g1r,
-            "gr1": self.gr1,
-            "g2r": self.g2r,
-            "gr2": self.gr2,
-            "p": self.p,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinkGains":

@@ -30,16 +30,16 @@ assuming it. The (R2,T5) closed form is exposed separately because it is
 not optimal on all of its cell.
 
 Every rate bound, in the interior-point solve, the finalize step and dual
-recovery, is evaluated by :class:`~twrc.rate_region.RateKernel`, every
-derivative entry of a bound (the Newton systems, dual recovery) is read
-from the kernel's ``table``, and every pentagon corner comes from
-:func:`~twrc.rate_region.pentagon_corner`. The scalar points that the
-finalize step evaluates go through one path, ``_corners``: the kernel's
-``bounds``, then the corner.
+recovery, is evaluated by the one :class:`~twrc.rate_region.RateKernel`
+that ``solve`` or :func:`solve_r2t5` builds, every derivative entry of a
+bound is read from the kernel's ``table``, and every reported corner, of
+the finalize step's candidates and of the result, comes from
+``_reported_rates``: :func:`~twrc.rate_region.best_weighted_point` at the
+corner ``mu`` favors and, at ``mu = 1/2``, at user 2's too.
 
 Every result, the zero-budget answer, the numeric optimum and the (R2,T5)
 closed form, ends in ``_result``, the one place a :class:`SolveResult` is
-built. It evaluates the allocation once, one kernel and one set of
+built. It evaluates the allocation once, one set of kernel inputs and
 ``log2`` arguments, and the rates, the labels and the duals all read
 that evaluation; a new result field is computed there.
 
@@ -65,7 +65,6 @@ from .rate_region import (
     RatePoint,
     allocation_inputs,
     best_weighted_point,
-    pentagon_corner,
     validate_allocation,
     validate_mu,
 )
@@ -102,7 +101,8 @@ _LOG = logging.getLogger(__name__)
 # has collapsed before the duals became feasible ("collapsed"): the last
 # step was shorter than _STALLED, as near a cone's alpha_i = pw_i = s_i = 0
 # corner, or did not lower the gap, which then sits at the rows' rounding
-# floor. _ITERATIONS only guards.
+# floor. _ITERATIONS only guards. The dual residual max |Df' lam - c| is
+# computed where the test reads it and on the last iteration, at the gap's.
 _GROWTH = 10.0
 _GAP = 2.1e-12
 _DUAL_TOL = 1e-6
@@ -182,14 +182,11 @@ class SolveResult:
         }
 
 
-def _corners(k: RateKernel, p: float, mu: float, x: Sequence[float]) -> list[tuple[float, float]]:
-    """The pentagon corners of the powers ``x = (alpha1, alpha2, pw1, pw2)``
-    on the relay face ``beta3 = p - pw1 - pw2`` that a result reports: the
-    one ``mu`` favors and, at ``mu = 1/2``, where the two tie, the other
-    too."""
-    a1, a2, q1, q2 = x
-    j = k.bounds(p - a1, p - a2, math.sqrt(q1 * a1), math.sqrt(q2 * a2), p - q2, p - q1)
-    return [pentagon_corner(*j, favor1) for favor1 in ((True, False) if mu == 0.5 else (mu > 0.5,))]
+def _reported_rates(cons: RateConstraints, mu: float) -> list[RatePoint]:
+    """The pentagon corners of the bounds ``cons`` that a result reports:
+    the one ``mu`` favors and, at ``mu = 1/2``, where the two tie, user
+    2's too."""
+    return [best_weighted_point(cons, m) for m in ((mu, 0.0) if mu == 0.5 else (mu,))]
 
 
 def _primal_dual(k: RateKernel, p: float,
@@ -240,14 +237,12 @@ def _primal_dual(k: RateKernel, p: float,
              s1 * s1 / a1 - q1, s2 * s2 / a2 - q2, -a1, a1 - 1.0, -a2, a2 - 1.0, q1 + q2 - 1.0, -1.0 - r1, -1.0 - r2)
         return (-np.array(f), args) if max(f) < 0.0 else None
 
-    def gradients(z, args, lam):
-        """Set the rows' gradients at ``z``; the dual residual
-        ``max |Df' lam - c|`` there."""
+    def gradients(z, args):
+        """Set the rows' gradients at ``z``."""
         _, _, a1, a2, _, _, s1, s2 = z
         logs = [coef / args[bound] for bound, _, coef in slopes]
         u1, u2 = s1 / a1, s2 / a2
         rows.flat[cells] = [-x for x in logs] + logs + [-u1 * u1, 2.0 * u1, -u2 * u2, 2.0 * u2]
-        return float(np.maximum.reduce(np.abs(grads_t @ lam - c)))
 
     def newton(z, nf, lam, t):
         """The Newton step in ``z`` toward the central point of ``t``, at
@@ -276,10 +271,12 @@ def _primal_dual(k: RateKernel, p: float,
     lam, step, stop, gap, base = 1.0 / nf, 1.0, "cap", math.inf, np.array(z)
     for count in range(_ITERATIONS):
         gap, last = float(nf @ lam), gap
-        residual = gradients(z, args, lam)
-        if gap <= _GAP and (residual <= _DUAL_TOL or step < _STALLED or gap >= last):
-            stop = "converged" if residual <= _DUAL_TOL else "collapsed"
-            break
+        gradients(z, args)
+        if gap <= _GAP or count == _ITERATIONS - 1:
+            residual = float(np.maximum.reduce(np.abs(grads_t @ lam - c)))
+            if gap <= _GAP and (residual <= _DUAL_TOL or step < _STALLED or gap >= last):
+                stop = "converged" if residual <= _DUAL_TOL else "collapsed"
+                break
         t = (_GROWTH if step >= _SHORT else 1.0) * 14.0 / gap
         dz = newton(z, nf, lam, t)
         slack = grads @ dz
@@ -312,23 +309,23 @@ def _bin_need(k: RateKernel, s1: float, s2: float, pw1: float, pw2: float,
             deficit2 / k.beam1 if deficit2 > 0.0 and k.beam1 > 0.0 else 0.0)
 
 
-def _infer_assignment(k: RateKernel, p: float, alloc: PowerAllocation,
-                      rates: RatePoint) -> SchemeAssignment:
+def _infer_assignment(k: RateKernel, p: float, alloc: PowerAllocation, rates: RatePoint,
+                      s1: float, s2: float) -> SchemeAssignment:
     """Label each user's technique from the allocation's active components.
 
     A user runs block Markov coding when both its repeated-message power
     and the relay's matching coherent power are active. A user relies on
     independent (binning) relaying when the bin power is active and the
-    user's :func:`_bin_need`, the bin power its rate needs, is too: the
-    rule that sets the minimum bin power in :func:`_finalize`. When
-    exactly one user beamforms, the bin power is attributed to the other
-    user, matching how the bin level is set by that user's constraints.
+    user's :func:`_bin_need` at the couplings ``s1, s2``, the bin power its
+    rate needs, is too: the rule that sets the minimum bin power in
+    :func:`_finalize`. When exactly one user beamforms, the bin power is
+    attributed to the other user, matching how the bin level is set by
+    that user's constraints.
     """
     act = ACTIVITY_THRESHOLD * p
     bm1 = alloc.alpha1 > act and alloc.pw1 > act
     bm2 = alloc.alpha2 > act and alloc.pw2 > act
-    need1, need2 = _bin_need(k, math.sqrt(alloc.pw1 * alloc.alpha1), math.sqrt(alloc.pw2 * alloc.alpha2),
-                             alloc.pw1, alloc.pw2, rates.r1, rates.r2)
+    need1, need2 = _bin_need(k, s1, s2, alloc.pw1, alloc.pw2, rates.r1, rates.r2)
 
     def label(bm: bool, other_bm: bool, need: float) -> Technique:
         needs_bin = alloc.beta3 > act and need > act
@@ -416,28 +413,25 @@ def _recover_duals(k: RateKernel, p: float, mu: float, alloc: PowerAllocation,
     )
 
 
-def _result(g: LinkGains, mu: float, alloc: PowerAllocation, method: str) -> SolveResult:
+def _result(k: RateKernel, g: LinkGains, mu: float, alloc: PowerAllocation, method: str) -> SolveResult:
     """The one place a :class:`SolveResult` is built, on one evaluation of
-    ``alloc``: one :class:`RateKernel`, the ``log2`` arguments ``args`` and
-    the bounds ``cons`` (:func:`~twrc.rate_region.compute_constraints`
-    without its check of ``g``, which every caller has made). From them
-    come the rates at the corner ``mu`` favors, the other corner at
-    ``mu = 1/2`` when it differs by more than 1e-12, the labels and the
-    duals."""
+    ``alloc`` with the caller's kernel ``k`` of ``g``: the kernel inputs,
+    the ``log2`` arguments ``args`` and the bounds ``cons``
+    (:func:`~twrc.rate_region.compute_constraints` without its check of
+    ``g``, which every caller has made). From them come the rates at the
+    corner ``mu`` favors, user 2's corner at ``mu = 1/2`` when it differs
+    by more than 1e-12, the labels and the duals."""
     validate_allocation(alloc, g.p)
-    k = RateKernel(g)
-    args = k.log_args(*allocation_inputs(alloc))
+    inputs = allocation_inputs(alloc)
+    args = k.log_args(*inputs)
     cons = RateConstraints(*map(math.log2, args))
-    rates = best_weighted_point(cons, mu)
-    alternate = None
-    if mu == 0.5:
-        other = best_weighted_point(cons, 0.0)
-        if abs(other.r1 - rates.r1) > 1e-12 or abs(other.r2 - rates.r2) > 1e-12:
-            alternate = other
+    corners = _reported_rates(cons, mu)
+    rates, other = corners[0], corners[-1]
+    alternate = other if abs(other.r1 - rates.r1) > 1e-12 or abs(other.r2 - rates.r2) > 1e-12 else None
     return SolveResult(
         allocation=alloc,
         rates=rates,
-        assignment=_infer_assignment(k, g.p, alloc, rates),
+        assignment=_infer_assignment(k, g.p, alloc, rates, *inputs[2:4]),
         weighted_sum=rates.weighted_sum(mu),
         diagnostics=_recover_duals(k, g.p, mu, alloc, args, cons, rates),
         mu=mu,
@@ -449,11 +443,18 @@ def _result(g: LinkGains, mu: float, alloc: PowerAllocation, method: str) -> Sol
 def _finalize(k: RateKernel, g: LinkGains, mu: float, x) -> SolveResult:
     p = g.p
 
+    def corners(x):
+        """The reported corners of the powers ``x = (alpha1, alpha2, pw1,
+        pw2)`` on the relay face ``beta3 = p - pw1 - pw2``."""
+        a1, a2, q1, q2 = x
+        j = k.bounds(p - a1, p - a2, math.sqrt(q1 * a1), math.sqrt(q2 * a2), p - q2, p - q1)
+        return _reported_rates(RateConstraints(*j), mu)
+
     def value(x):
         """The weighted sum plus ``_TIE_BONUS * (r1 + r2)`` at the corner
         ``mu`` favors."""
-        r1, r2 = _corners(k, p, mu, x)[0]
-        return mu * r1 + (1.0 - mu) * r2 + _TIE_BONUS * (r1 + r2)
+        r = corners(x)[0]
+        return r.weighted_sum(mu) + _TIE_BONUS * (r.r1 + r.r2)
 
     val = value(x)
     snap_tol = _SNAP_TOL * max(1.0, abs(val))
@@ -476,12 +477,12 @@ def _finalize(k: RateKernel, g: LinkGains, mu: float, x) -> SolveResult:
         # no coherent power: the least bin power that keeps the reported
         # corners, both of them at mu = 1/2
         s1, s2 = math.sqrt(q1 * a1), math.sqrt(q2 * a2)
-        beta3 = min(max(max(_bin_need(k, s1, s2, q1, q2, *r)) for r in _corners(k, p, mu, x)), beta3)
+        beta3 = min(max(max(_bin_need(k, s1, s2, q1, q2, r.r1, r.r2)) for r in corners(x)), beta3)
     alloc = PowerAllocation(
         alpha1=a1, beta1=p - a1, alpha2=a2, beta2=p - a2,
         pw1=q1, pw2=q2, beta3=max(float(beta3), 0.0),
     )
-    return _result(g, mu, alloc, "numeric")
+    return _result(k, g, mu, alloc, "numeric")
 
 
 def solve(g: LinkGains, mu: float) -> SolveResult:
@@ -503,9 +504,9 @@ def solve(g: LinkGains, mu: float) -> SolveResult:
     validate_gains(g)
     mu = validate_mu(mu)
     p = g.p
-    if p == 0.0:
-        return _result(g, mu, PowerAllocation(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), "trivial")
     k = RateKernel(g)
+    if p == 0.0:
+        return _result(k, g, mu, PowerAllocation(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), "trivial")
     x, *stats = _primal_dual(k, p, mu)
     _LOG.debug("numeric solve: %d Newton systems, stopped %s, gap %.3g, dual residual %.3g", *stats)
     return _finalize(k, g, mu, x)
@@ -552,7 +553,7 @@ def solve_r2t5(g: LinkGains, mu: float) -> SolveResult:
         alpha1=0.0, beta1=p, alpha2=alpha2, beta2=p - alpha2,
         pw1=0.0, pw2=pw2, beta3=beta3,
     )
-    return _result(g, mu, alloc, "closed-form-r2t5")
+    return _result(kernel, g, mu, alloc, "closed-form-r2t5")
 
 
 def min_relay_power(g: LinkGains) -> float:

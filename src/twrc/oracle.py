@@ -157,15 +157,14 @@ def _simplex_pairs(levels: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray
 
 
 class _Piece(NamedTuple):
-    """A product lattice: every user-1 point ``(alpha1, beta1)`` with every
-    user-2 point ``(alpha2, beta2)`` and every relay point ``(pw1, pw2,
-    beta3)``, user 1 outermost and the relay innermost. Each field is a
-    1-D array, paired by position within its point set."""
+    """A product lattice: every user-1 point ``alpha1`` with every user-2
+    point ``alpha2`` and every relay point ``(pw1, pw2, beta3)``, user 1
+    outermost and the relay innermost. Users run at full power, so a
+    user's fresh power is ``beta_i = p - alpha_i``, computed where it is
+    read. Each field is a 1-D array, the relay's paired by position."""
 
     alpha1: np.ndarray
-    beta1: np.ndarray
     alpha2: np.ndarray
-    beta2: np.ndarray
     pw1: np.ndarray
     pw2: np.ndarray
     beta3: np.ndarray
@@ -177,7 +176,7 @@ def _face(levels: np.ndarray, p: float, bin_power: bool) -> _Piece:
     may round past ``p``) or, without ``bin_power``, 0."""
     q1, q2 = _simplex_pairs(levels, p)
     b3 = np.maximum(p - q1 - q2, 0.0) if bin_power else np.zeros_like(q1)
-    return _Piece(levels, p - levels, levels, p - levels, q1, q2, b3)
+    return _Piece(levels, levels, q1, q2, b3)
 
 
 def _pieces(restriction: SchemeRestriction, levels: np.ndarray, p: float) -> list[_Piece]:
@@ -188,9 +187,9 @@ def _pieces(restriction: SchemeRestriction, levels: np.ndarray, p: float) -> lis
     is a point of the full-power face, with the same rates, and comes
     after it, so the Pareto filter would drop it.
     """
-    idle = (np.zeros(1), np.full(1, p))
+    idle = np.zeros(1)
     zeros = np.zeros_like(levels)
-    bin_line = _Piece(*idle, *idle, zeros, zeros, levels)
+    bin_line = _Piece(idle, idle, zeros, zeros, levels)
     if restriction == SchemeRestriction.COMPOSITE:
         return [_face(levels, p, True), _face(levels, p, False), bin_line]
     if restriction == SchemeRestriction.BLOCK_MARKOV_ONLY:
@@ -198,9 +197,8 @@ def _pieces(restriction: SchemeRestriction, levels: np.ndarray, p: float) -> lis
     if restriction == SchemeRestriction.INDEPENDENT_ONLY:
         return [bin_line]
     # time sharing: one user block Markov only, the other independent only
-    full = (levels, p - levels)
-    return [_Piece(*full, *idle, levels, zeros, p - levels),
-            _Piece(*idle, *full, zeros, levels, p - levels)]
+    return [_Piece(levels, idle, levels, zeros, p - levels),
+            _Piece(idle, levels, zeros, levels, p - levels)]
 
 
 def _bounds(g: LinkGains, piece: _Piece) -> tuple[np.ndarray, ...]:
@@ -214,7 +212,7 @@ def _bounds(g: LinkGains, piece: _Piece) -> tuple[np.ndarray, ...]:
     a1 = piece.alpha1[:, None, None]
     a2 = piece.alpha2[:, None]
     return RateKernel(g).bounds(
-        piece.beta1[:, None, None], piece.beta2[:, None], np.sqrt(piece.pw1 * a1),
+        g.p - a1, g.p - a2, np.sqrt(piece.pw1 * a1),
         np.sqrt(piece.pw2 * a2), piece.pw1 + piece.beta3, piece.pw2 + piece.beta3)
 
 
@@ -373,8 +371,8 @@ def grid_region(g: LinkGains, step: float = 0.05,
         order = np.argsort(key)
         keep = order[_pareto_mask(r1[order], r2[order])]
         i, _, k, r = np.unravel_index(key[keep], shape)
-        kept.append((r1[keep], r2[keep], piece.alpha1[i], piece.beta1[i], piece.alpha2[k], piece.beta2[k],
-                     piece.pw1[r], piece.pw2[r], piece.beta3[r]))
+        a1, a2 = piece.alpha1[i], piece.alpha2[k]
+        kept.append((r1[keep], r2[keep], a1, p - a1, a2, p - a2, piece.pw1[r], piece.pw2[r], piece.beta3[r]))
     r1, r2, *powers = (np.concatenate(col) for col in zip(*kept))
     keep = _pareto_mask(r1, r2)
     order = np.argsort(r1[keep], kind="stable")
@@ -564,7 +562,7 @@ def local_grid_best(g: LinkGains, mu: float, center: PowerAllocation,
                                                  axis(center.beta3), indexing="ij"))
     ok = q1 + q2 + b3 <= p * (1.0 + 1e-12)
     best = -math.inf
-    for _, r1, r2, valid, _ in _corner_best(g, _Piece(a1, p - a1, a2, p - a2, q1[ok], q2[ok], b3[ok]),
+    for _, r1, r2, valid, _ in _corner_best(g, _Piece(a1, a2, q1[ok], q2[ok], b3[ok]),
                                              (True, False)):
         valid = valid & (np.minimum(r1, r2) > -math.inf)
         best = max(best, float(np.max(mu * r1[valid] + (1.0 - mu) * r2[valid], initial=-math.inf)))

@@ -27,7 +27,7 @@ on floats or numpy arrays. There is no other copy of either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class PowerAllocation:
         return self.pw1 + self.pw2 + self.beta3
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in ALLOCATION_FIELDS}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PowerAllocation":
@@ -104,7 +104,7 @@ class RatePoint:
         return mu * self.r1 + (1.0 - mu) * self.r2
 
     def to_dict(self) -> dict:
-        return {"r1": self.r1, "r2": self.r2}
+        return asdict(self)
 
 
 def capacity(x: float) -> float:

@@ -36,26 +36,42 @@ of every lattice restriction on the same draws, at step 0.05 and p/12.
 Run from a checkout as ``python tests/solver_corpus.py`` to print, per
 corpus, the Newton systems per solve (mean and max), the stop-reason
 counts and the digest, then one profile digest per weight in ``MUS``,
-then the ``grid_best`` and ``grid_region`` digests. To compare a change
-with its parent, unpack the parent (``git archive HEAD~1 | tar -x -C
-DIR``), copy this script into ``DIR/tests`` if it predates the digests,
-and run it in both trees.
+then the ``grid_best`` and ``grid_region`` digests; ``--src DIR`` runs
+them on the package in ``DIR`` instead of the checkout's ``src``.
+
+``python tests/solver_corpus.py --against REV`` compares the checkout
+with a git revision: it unpacks ``git archive REV`` into a temporary
+directory, runs this script on that tree's ``src`` beside the
+checkout's, and prints each output line once after ``same`` when both
+trees print it, or both versions, the checkout's after ``this`` and
+the revision's after ``REV``. It takes about twice as long as a plain
+run.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import logging
 import math
 import random
+import subprocess
 import sys
+import tempfile
 from collections import Counter
 from contextlib import contextmanager
+from itertools import zip_longest
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    _PARSER = argparse.ArgumentParser(description="Print the solver and oracle digests of a twrc tree.")
+    _PARSER.add_argument("--src", default=str(ROOT / "src"), help="directory holding the twrc package")
+    _PARSER.add_argument("--against", metavar="REV", help="compare with the tree of git revision REV")
+    ARGS = _PARSER.parse_args()
+    sys.path.insert(0, ARGS.src)
 
 from twrc import (  # noqa: E402
     Geometry, LinkGains, SchemeRestriction, gains_from_geometry, grid_best, grid_region, relay_power_profile, solve,
@@ -198,22 +214,45 @@ def solve_stats():
         logger.setLevel(level)
 
 
-def main() -> None:
+def report():
+    """The lines a run prints, one at a time."""
     for name, build in CORPORA.items():
         corpus = build()
         with solve_stats() as stats:
             results = [solve(g, mu) for g, mu in corpus]
         counts = [s[0] for s in stats]
         stops = Counter(s[1] for s in stats)
-        print(f"{name}: {len(corpus)} solves, {len(counts)} numeric; Newton systems per solve "
-              f"mean {sum(counts) / len(counts):.2f}, max {max(counts)}; stops "
-              + ", ".join(f"{reason} {stops[reason]}" for reason in ("converged", "collapsed", "cap"))
-              + f"; sha256 {digest(results)}")
+        yield (f"{name}: {len(corpus)} solves, {len(counts)} numeric; Newton systems per solve "
+               f"mean {sum(counts) / len(counts):.2f}, max {max(counts)}; stops "
+               + ", ".join(f"{reason} {stops[reason]}" for reason in ("converged", "collapsed", "cap"))
+               + f"; sha256 {digest(results)}")
     for mu in MUS:
-        print(f"relay_power_profile mu {mu}: sha256 {profile_digest(mu)}")
-    print(f"grid_best: sha256 {grid_best_digest()}")
-    print(f"grid_region: sha256 {grid_region_digest()}")
+        yield f"relay_power_profile mu {mu}: sha256 {profile_digest(mu)}"
+    yield f"grid_best: sha256 {grid_best_digest()}"
+    yield f"grid_region: sha256 {grid_region_digest()}"
+
+
+def against(rev: str) -> None:
+    """Print this checkout's lines beside those of ``rev``'s tree, which
+    a child process computes while this one computes its own."""
+    with tempfile.TemporaryDirectory() as tree:
+        with subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE) as archive:
+            untar = subprocess.run(["tar", "-x", "-C", tree], stdin=archive.stdout)
+        if archive.returncode or untar.returncode:
+            raise SystemExit(f"could not unpack git archive {rev}")
+        with subprocess.Popen([sys.executable, __file__, "--src", str(Path(tree) / "src")],
+                              stdout=subprocess.PIPE, text=True) as child:
+            ours = list(report())
+            theirs = child.communicate()[0].splitlines()
+    if child.returncode:
+        raise SystemExit(f"the run on {rev}'s tree failed")
+    for this, that in zip_longest(ours, theirs):
+        print(f"same  {this}" if this == that else f"this  {this}\n{rev}  {that}")
 
 
 if __name__ == "__main__":
-    main()
+    if ARGS.against:
+        against(ARGS.against)
+    else:
+        for line in report():
+            print(line, flush=True)

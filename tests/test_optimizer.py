@@ -24,7 +24,7 @@ from twrc import (
     solve_r2t5,
     validate_allocation,
 )
-from twrc import optimizer
+from twrc import optimizer, regimes
 from twrc.rate_region import RateKernel
 
 from helpers import (
@@ -269,7 +269,7 @@ _ZERO_BUDGET = LinkGains(g12=0.5, g21=0.5, g1r=0.5, gr1=0.5, g2r=0.5, gr2=0.5, p
 _CORNER_TIE = LinkGains(g12=2.0, g21=2.0, g1r=2.0, gr1=1.0, g2r=2.0, gr2=1.0, p=1.0)
 
 
-@pytest.mark.parametrize("run, g, mu, method", [
+_PATHS = [
     (solve, _ZERO_BUDGET, 0.5, "trivial"),
     (solve, _ZERO_BUDGET, 0.75, "trivial"),
     (solve, R2T3_GAINS, 0.75, "numeric"),
@@ -278,7 +278,10 @@ _CORNER_TIE = LinkGains(g12=2.0, g21=2.0, g1r=2.0, gr1=1.0, g2r=2.0, gr2=1.0, p=
     (solve, R3T5_GAINS, 0.5, "numeric"),
     (solve, _CORNER_TIE, 0.5, "numeric"),
     (solve, R2T3_GAINS, 0.25, "numeric"),
-])
+]
+
+
+@pytest.mark.parametrize("run, g, mu, method", _PATHS)
 def test_every_path_reports_its_allocations_best_corner(run, g, mu, method):
     res = run(g, mu)
     assert res.method == method
@@ -286,6 +289,25 @@ def test_every_path_reports_its_allocations_best_corner(run, g, mu, method):
     assert res.weighted_sum == res.rates.weighted_sum(mu)
     assert res.ambiguous == (res.alternate_rates is not None)
     assert res.ambiguous == (g is _CORNER_TIE)
+
+
+@pytest.mark.parametrize("run, g, mu, method", _PATHS)
+def test_every_path_builds_one_kernel(monkeypatch, run, g, mu, method):
+    # counted where optimizer.py and regimes.thresholds (solve_r2t5's
+    # range check) look the name up
+    built = []
+
+    class Counted(RateKernel):
+        __slots__ = ()
+
+        def __init__(self, gains):
+            built.append(gains)
+            super().__init__(gains)
+
+    for module in (optimizer, regimes):
+        monkeypatch.setattr(module, "RateKernel", Counted)
+    assert run(g, mu).method == method
+    assert built == [g]
 
 
 class TestZeroRelayToUserLink:
@@ -424,6 +446,24 @@ def test_one_debug_record_per_numeric_solve(caplog):
         assert f"{count} Newton systems, stopped {stop}" in record.getMessage()
 
 
+@pytest.mark.parametrize("cap", range(1, 12))
+def test_a_capped_solve_reports_its_dual_residual_at_its_gap(monkeypatch, cap):
+    # a solve capped at `cap` iterations reports the point of its last
+    # stop test; an uncapped solve whose tolerances are that gap and that
+    # residual stops converged at the same point with the same record
+    monkeypatch.setattr(optimizer, "_ITERATIONS", cap)
+    with solve_stats() as stats:
+        solve(R3T5_GAINS, 0.75)
+    (count, stop, gap, residual), = stats
+    assert (count, stop) == (cap, "cap")
+    monkeypatch.setattr(optimizer, "_ITERATIONS", 100)
+    monkeypatch.setattr(optimizer, "_GAP", gap)
+    monkeypatch.setattr(optimizer, "_DUAL_TOL", residual)
+    with solve_stats() as stats:
+        solve(R3T5_GAINS, 0.75)
+    assert stats == [(cap - 1, "converged", gap, residual)]
+
+
 _AMPLITUDES = st.sampled_from((0.0,)) | _DECADES
 
 
@@ -540,13 +580,14 @@ def test_derivative_code_reads_no_gain_product():
 
 
 def test_one_kernel_per_result_and_one_bin_need_rule():
-    """In ``optimizer.py`` only ``solve`` and ``_result`` build a
-    ``RateKernel``, one for the solve and one per result, so a result is
-    evaluated once, and only ``_bin_need`` calls ``user_snrs``, so the
-    minimum bin power and the labels share one rule. Nothing calls ``compute_constraints``, which would build a second
-    kernel and evaluate a result again."""
+    """In ``optimizer.py`` only ``solve`` builds a ``RateKernel``, the one
+    its result is evaluated with (``solve_r2t5`` uses the one
+    ``thresholds`` builds), and only ``_bin_need`` calls ``user_snrs``, so
+    the minimum bin power and the labels share one rule. Nothing calls
+    ``compute_constraints``, which would build a second kernel and
+    evaluate a result again."""
     tree = ast.parse(Path(optimizer.__file__).read_text(encoding="utf-8"))
-    allowed = {"RateKernel": {"solve", "_result"}, "user_snrs": {"_bin_need"}}
+    allowed = {"RateKernel": {"solve"}, "user_snrs": {"_bin_need"}}
     calls, second = [], []
 
     def visit(node, scope):

@@ -59,8 +59,8 @@ class TestGridRegion:
         for a, b in zip(hull.vertices, hull.vertices[1:]):
             assert b.r1 >= a.r1
             assert b.r2 <= a.r2
-        assert hull.vertices[0].r1 == 0.0
-        assert hull.vertices[-1].r2 == 0.0
+        assert hull.vertices[0] == RatePoint(r1=0.0, r2=hull.r2_max)
+        assert hull.vertices[-1] == RatePoint(r1=hull.r1_max, r2=0.0)
 
     def test_direct_only_rectangle_corner(self, showcase_hulls):
         hull = showcase_hulls[SchemeRestriction.DIRECT_ONLY]
@@ -171,6 +171,11 @@ class TestContainment:
     def test_reflexive(self, showcase_hulls):
         comp = showcase_hulls[SchemeRestriction.COMPOSITE]
         assert hull_contains(comp, comp, slack=0.0)
+        # the same hull reaching 1e-6 further along r1 is contained only
+        # within that slack
+        wider = replace(comp, vertices=comp.vertices[:-1] + (RatePoint(r1=comp.r1_max + 1e-6, r2=0.0),))
+        assert not hull_contains(comp, wider, slack=0.0)
+        assert hull_contains(comp, wider, slack=1e-6)
 
     def test_composite_contains_every_restriction(self, showcase_hulls):
         comp = showcase_hulls[SchemeRestriction.COMPOSITE]
@@ -184,6 +189,7 @@ class TestContainment:
                      SchemeRestriction.DIRECT_ONLY,
                      SchemeRestriction.TIME_SHARE):
             assert hull_exceeds(comp, showcase_hulls[mode], margin=1e-3), mode
+            assert not hull_exceeds(showcase_hulls[mode], comp, margin=1e-3), mode
 
     def test_time_share_does_not_contain_composite(self, showcase_hulls):
         comp = showcase_hulls[SchemeRestriction.COMPOSITE]
@@ -679,6 +685,8 @@ class TestLocalAndAuditValidation:
     def test_local_accepts_zero_radius_and_one_point(self):
         value = local_grid_best(R3T5_GAINS, 0.75, self.center, radius=0.0, points_per_axis=1)
         assert math.isfinite(value)
+        # and a zero budget, where every rate is 0
+        assert local_grid_best(replace(R3T5_GAINS, p=0.0), 0.75, self.center, radius=0.0) == 0.0
 
     @pytest.mark.parametrize("alpha1, edge", [(5.0, 1.25), (-5.0, -0.25)])
     def test_local_box_is_clipped_to_the_budget(self, alpha1, edge):
