@@ -32,10 +32,10 @@ not optimal on all of its cell.
 Every rate bound, in the interior-point solve, the finalize step and dual
 recovery, is evaluated by the one :class:`~twrc.rate_region.RateKernel`
 that ``solve`` or :func:`solve_r2t5` builds, every derivative entry of a
-bound is read from the kernel's ``table``, and every reported corner, of
-the finalize step's candidates and of the result, comes from
-``_reported_rates``: :func:`~twrc.rate_region.best_weighted_point` at the
-corner ``mu`` favors and, at ``mu = 1/2``, at user 2's too.
+bound is read from the kernel's ``table``, and every corner, of the
+finalize step's candidates and of the result, comes from the solver's
+corner entry :func:`~twrc.rate_region.pentagon_corner`, the rule that the
+checked public :func:`~twrc.rate_region.best_weighted_point` applies.
 
 Every result, the zero-budget answer, the numeric optimum and the (R2,T5)
 closed form, ends in ``_result``, the one place a :class:`SolveResult` is
@@ -64,7 +64,7 @@ from .rate_region import (
     RateKernel,
     RatePoint,
     allocation_inputs,
-    best_weighted_point,
+    pentagon_corner,
     validate_allocation,
     validate_mu,
 )
@@ -182,11 +182,12 @@ class SolveResult:
         }
 
 
-def _reported_rates(cons: RateConstraints, mu: float) -> list[RatePoint]:
-    """The pentagon corners of the bounds ``cons`` that a result reports:
-    the one ``mu`` favors and, at ``mu = 1/2``, where the two tie, user
-    2's too."""
-    return [best_weighted_point(cons, m) for m in ((mu, 0.0) if mu == 0.5 else (mu,))]
+def _reported_rates(j: Sequence[float], mu: float) -> list[RatePoint]:
+    """The pentagon corners of the bounds ``j = (j1, ..., j5)`` that a
+    result reports: the one ``mu`` favors and, at ``mu = 1/2``, where the
+    two tie, user 2's too, by ``pentagon_corner`` without
+    :func:`~twrc.rate_region.best_weighted_point`'s input checks."""
+    return [RatePoint(*pentagon_corner(*j, favor1)) for favor1 in ((True, False) if mu == 0.5 else (mu >= 0.5,))]
 
 
 def _primal_dual(k: RateKernel, p: float,
@@ -208,8 +209,10 @@ def _primal_dual(k: RateKernel, p: float,
              pw1 + pw2 <= 1,  r_i >= -1.
 
     Each ``arg_k`` is affine in ``z`` (the kernel's ``log_args``, with its
-    slopes from ``table``), so every row is convex. Each iteration solves
-    one 8x8 Newton system for ``z`` and updates one multiplier per row.
+    slopes from ``table``), so every row is convex. Each iteration is one
+    loop body: it sets the gradients that move with ``z``, applies the
+    stop rule, builds and solves one 8x8 Newton system for ``z`` and
+    updates one multiplier per row.
     """
     c = np.array([mu + _TIE_BONUS, 1.0 - mu + _TIE_BONUS, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     # rows 0-13: the gradients of the 14 rows; rows 14-18: those of
@@ -224,6 +227,8 @@ def _primal_dual(k: RateKernel, p: float,
     slopes = [(bound, _INPUT_COLUMNS[v][0], _INPUT_COLUMNS[v][1] * coef * p) for bound, v, coef in k.table]
     cells = [8 * bound + col for bound, col, _ in slopes]
     cells = np.array(cells + [8 * 14 + cell for cell in cells] + [42, 46, 51, 55])
+    # the Newton-matrix entries of the cones' curvature: (alpha_i, s_i) squared
+    curved = np.ravel_multi_index(([2, 2, 6, 6, 3, 3, 7, 7], [2, 6, 2, 6, 3, 7, 3, 7]), (8, 8))
 
     def rows_at(z):
         """The 14 rows at ``z``, negated, and the five ``arg_k``, or None
@@ -237,30 +242,6 @@ def _primal_dual(k: RateKernel, p: float,
              s1 * s1 / a1 - q1, s2 * s2 / a2 - q2, -a1, a1 - 1.0, -a2, a2 - 1.0, q1 + q2 - 1.0, -1.0 - r1, -1.0 - r2)
         return (-np.array(f), args) if max(f) < 0.0 else None
 
-    def gradients(z, args):
-        """Set the rows' gradients at ``z``."""
-        _, _, a1, a2, _, _, s1, s2 = z
-        logs = [coef / args[bound] for bound, _, coef in slopes]
-        u1, u2 = s1 / a1, s2 / a2
-        rows.flat[cells] = [-x for x in logs] + logs + [-u1 * u1, 2.0 * u1, -u2 * u2, 2.0 * u2]
-
-    def newton(z, nf, lam, t):
-        """The Newton step in ``z`` toward the central point of ``t``, at
-        the gradients ``gradients`` set and the negated rows ``nf``."""
-        _, _, a1, a2, _, _, s1, s2 = z
-        # sum_i lam_i hess(f_i) + lam_i / -f_i grad(f_i) grad(f_i)': a rate
-        # row's hess is ln arg_k's gradient squared, a cone's reaches
-        # (alpha_i, alpha_i), (alpha_i, s_i), (s_i, alpha_i) and (s_i, s_i)
-        hess = (rows.T * np.concatenate((lam / nf, lam[:5]))) @ rows
-        u1, u2, h1, h2 = s1 / a1, s2 / a2, 2.0 * lam[5] / a1, 2.0 * lam[6] / a2
-        for a, s, h, u in ((2, 6, h1, u1), (3, 7, h2, u2)):
-            hess[a, a] += h * u * u
-            hess[a, s] += -h * u
-            hess[s, a] += -h * u
-            hess[s, s] += h
-        hess.flat[::9] *= 1.0 + _RIDGE
-        return np.linalg.solve(hess, c - (1.0 / t) * (grads_t @ (1.0 / nf)))
-
     # a strictly feasible start: half of each user's power repeated, a
     # third of the relay's coherent per user, rates below every bound;
     # lam_i = 1 / -f_i is its central point at t = 1
@@ -271,14 +252,25 @@ def _primal_dual(k: RateKernel, p: float,
     lam, step, stop, gap, base = 1.0 / nf, 1.0, "cap", math.inf, np.array(z)
     for count in range(_ITERATIONS):
         gap, last = float(nf @ lam), gap
-        gradients(z, args)
+        _, _, a1, a2, _, _, s1, s2 = z
+        logs = [coef / args[bound] for bound, _, coef in slopes]
+        u1, u2 = s1 / a1, s2 / a2
+        rows.flat[cells] = [-x for x in logs] + logs + [-u1 * u1, 2.0 * u1, -u2 * u2, 2.0 * u2]
         if gap <= _GAP or count == _ITERATIONS - 1:
             residual = float(np.maximum.reduce(np.abs(grads_t @ lam - c)))
             if gap <= _GAP and (residual <= _DUAL_TOL or step < _STALLED or gap >= last):
                 stop = "converged" if residual <= _DUAL_TOL else "collapsed"
                 break
         t = (_GROWTH if step >= _SHORT else 1.0) * 14.0 / gap
-        dz = newton(z, nf, lam, t)
+        # the Newton step toward the central point of t: the matrix is
+        # sum_i lam_i hess(f_i) + lam_i / -f_i grad(f_i) grad(f_i)', a rate
+        # row's hess being ln arg_k's gradient squared and a cone's
+        # 2 lam_i / alpha_i [[u_i^2, -u_i], [-u_i, 1]] on (alpha_i, s_i)
+        hess = (rows.T * np.concatenate((lam / nf, lam[:5]))) @ rows
+        h1, h2 = 2.0 * lam[5] / a1, 2.0 * lam[6] / a2
+        hess.flat[curved] += [h1 * u1 * u1, -h1 * u1, -h1 * u1, h1, h2 * u2 * u2, -h2 * u2, -h2 * u2, h2]
+        hess.flat[::9] *= 1.0 + _RIDGE
+        dz = np.linalg.solve(hess, c - (1.0 / t) * (grads_t @ (1.0 / nf)))
         slack = grads @ dz
         dlam = (1.0 / t + lam * slack) / nf - lam
         # at most _TO_BOUNDARY of the way to a multiplier's zero or a
@@ -425,7 +417,7 @@ def _result(k: RateKernel, g: LinkGains, mu: float, alloc: PowerAllocation, meth
     inputs = allocation_inputs(alloc)
     args = k.log_args(*inputs)
     cons = RateConstraints(*map(math.log2, args))
-    corners = _reported_rates(cons, mu)
+    corners = _reported_rates(cons.as_tuple(), mu)
     rates, other = corners[0], corners[-1]
     alternate = other if abs(other.r1 - rates.r1) > 1e-12 or abs(other.r2 - rates.r2) > 1e-12 else None
     return SolveResult(
@@ -443,18 +435,17 @@ def _result(k: RateKernel, g: LinkGains, mu: float, alloc: PowerAllocation, meth
 def _finalize(k: RateKernel, g: LinkGains, mu: float, x) -> SolveResult:
     p = g.p
 
-    def corners(x):
-        """The reported corners of the powers ``x = (alpha1, alpha2, pw1,
-        pw2)`` on the relay face ``beta3 = p - pw1 - pw2``."""
+    def bounds(x):
+        """The bounds of the powers ``x = (alpha1, alpha2, pw1, pw2)`` on
+        the relay face ``beta3 = p - pw1 - pw2``."""
         a1, a2, q1, q2 = x
-        j = k.bounds(p - a1, p - a2, math.sqrt(q1 * a1), math.sqrt(q2 * a2), p - q2, p - q1)
-        return _reported_rates(RateConstraints(*j), mu)
+        return k.bounds(p - a1, p - a2, math.sqrt(q1 * a1), math.sqrt(q2 * a2), p - q2, p - q1)
 
     def value(x):
         """The weighted sum plus ``_TIE_BONUS * (r1 + r2)`` at the corner
         ``mu`` favors."""
-        r = corners(x)[0]
-        return r.weighted_sum(mu) + _TIE_BONUS * (r.r1 + r.r2)
+        r1, r2 = pentagon_corner(*bounds(x), mu >= 0.5)
+        return mu * r1 + (1.0 - mu) * r2 + _TIE_BONUS * (r1 + r2)
 
     val = value(x)
     snap_tol = _SNAP_TOL * max(1.0, abs(val))
@@ -477,7 +468,8 @@ def _finalize(k: RateKernel, g: LinkGains, mu: float, x) -> SolveResult:
         # no coherent power: the least bin power that keeps the reported
         # corners, both of them at mu = 1/2
         s1, s2 = math.sqrt(q1 * a1), math.sqrt(q2 * a2)
-        beta3 = min(max(max(_bin_need(k, s1, s2, q1, q2, r.r1, r.r2)) for r in corners(x)), beta3)
+        corners = _reported_rates(bounds(x), mu)
+        beta3 = min(max(max(_bin_need(k, s1, s2, q1, q2, r.r1, r.r2)) for r in corners), beta3)
     alloc = PowerAllocation(
         alpha1=a1, beta1=p - a1, alpha2=a2, beta2=p - a2,
         pw1=q1, pw2=q2, beta3=max(float(beta3), 0.0),

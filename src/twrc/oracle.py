@@ -551,8 +551,6 @@ def local_grid_best(g: LinkGains, mu: float, center: PowerAllocation,
     points_per_axis = check_count("points_per_axis", points_per_axis, 1)
     _check_cap(points_per_axis ** 5)
     p = g.p
-    if p <= 0.0:
-        return 0.0
 
     def axis(value: float) -> np.ndarray:
         return np.linspace(*np.clip([value - radius, value + radius], 0.0, p), points_per_axis)

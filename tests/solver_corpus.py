@@ -32,12 +32,17 @@ one weight the same way, and ``grid_best_digest`` the oracle's
 3/4, 1) and on the extreme corpus' gains (step p/12, weights ``MUS``).
 ``grid_region_digest`` hashes the ``grid_region`` vertices and sources
 of every lattice restriction on the same draws, at step 0.05 and p/12.
+``regime_map_digest`` hashes ``regime_map``'s cells at its defaults, the
+CLI's, and ``cli_digest`` the output of ``twrc.cli.main``, run in this
+process, for ``classify``, ``solve``, ``region``, ``map`` and
+``relay-power`` at the README's example arguments (``CLI_RUNS``).
 
 Run from a checkout as ``python tests/solver_corpus.py`` to print, per
 corpus, the Newton systems per solve (mean and max), the stop-reason
 counts and the digest, then one profile digest per weight in ``MUS``,
-then the ``grid_best`` and ``grid_region`` digests; ``--src DIR`` runs
-them on the package in ``DIR`` instead of the checkout's ``src``.
+then the ``grid_best``, ``grid_region``, ``regime_map`` and CLI digests;
+``--src DIR`` runs them on the package in ``DIR`` instead of the
+checkout's ``src``.
 
 ``python tests/solver_corpus.py --against REV`` compares the checkout
 with a git revision: it unpacks ``git archive REV`` into a temporary
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import logging
 import math
@@ -60,7 +66,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from itertools import zip_longest
 from pathlib import Path
 
@@ -74,8 +80,10 @@ if __name__ == "__main__":
     sys.path.insert(0, ARGS.src)
 
 from twrc import (  # noqa: E402
-    Geometry, LinkGains, SchemeRestriction, gains_from_geometry, grid_best, grid_region, relay_power_profile, solve,
+    Geometry, LinkGains, SchemeRestriction, gains_from_geometry, grid_best, grid_region, regime_map,
+    relay_power_profile, solve,
 )
+from twrc.cli import main as cli_main  # noqa: E402
 
 from helpers import random_gains, sample_cell  # noqa: E402
 
@@ -83,6 +91,12 @@ MUS = (0.0, 0.25, 0.5, 0.75, 1.0)
 PROFILE_SAMPLES = 41
 CLOSED_FORM_MUS = (0.6, 0.75, 1.0)
 ORACLE_MUS = (0.25, 0.5, 0.75, 1.0)
+# the README's command-line examples, the gains inline and every artifact
+# on stdout
+README_GAINS = ("--g12", "0.25", "--g21", "0.25", "--g1r", "0.5", "--gr1", "1", "--g2r", "0.7", "--gr2", "1")
+CLI_RUNS = (("classify", *README_GAINS), ("solve", *README_GAINS, "--mu", "0.75"),
+            ("region", *README_GAINS, "--step", "0.05", "--restrict", "composite"),
+            ("map", "--resolution", "61"), ("relay-power", "--samples", "41"))
 
 
 def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -94,13 +108,16 @@ def random_gains_corpus() -> list[tuple[LinkGains, float]]:
     return [(g, mu) for g in [random_gains(rng) for _ in range(100)] for mu in MUS]
 
 
+def extreme_gains(rng: random.Random) -> LinkGains:
+    """Amplitudes log-uniform in [1e-3, 1e3], each exactly 0 with
+    probability 0.15, and ``p`` log-uniform in [1e-6, 1e4]."""
+    amps = [0.0 if rng.random() < 0.15 else _log_uniform(rng, 1e-3, 1e3) for _ in range(6)]
+    return LinkGains(*amps, p=_log_uniform(rng, 1e-6, 1e4))
+
+
 def extreme_draws() -> list[LinkGains]:
     rng = random.Random(12)
-    draws = []
-    for _ in range(250):
-        amps = [0.0 if rng.random() < 0.15 else _log_uniform(rng, 1e-3, 1e3) for _ in range(6)]
-        draws.append(LinkGains(*amps, p=_log_uniform(rng, 1e-6, 1e4)))
-    return draws
+    return [extreme_gains(rng) for _ in range(250)]
 
 
 def extreme_corpus() -> list[tuple[LinkGains, float]]:
@@ -185,6 +202,27 @@ def grid_region_digest() -> str:
     return _sha256(hull_dicts())
 
 
+def regime_map_digest() -> str:
+    """sha256 of ``regime_map``'s cells at its defaults: per cell its
+    position, regime, labels and source, floats as ``float.hex``."""
+    return _sha256({"x": c.x, "y": c.y, "source": c.source,
+                    "regime": None if c.regime is None else c.regime.to_dict(),
+                    "assignment": None if c.assignment is None else c.assignment.to_dict()}
+                   for c in regime_map())
+
+
+def cli_digest() -> str:
+    """sha256 over ``CLI_RUNS``, each run's arguments, exit code, stdout
+    and stderr, from ``twrc.cli.main`` in this process."""
+    h = hashlib.sha256()
+    for argv in CLI_RUNS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli_main(list(argv))
+        h.update(f"{' '.join(argv)}\n{code}\n{out.getvalue()}{err.getvalue()}".encode())
+    return h.hexdigest()
+
+
 def _sha256(dicts) -> str:
     h = hashlib.sha256()
     for d in dicts:
@@ -230,6 +268,8 @@ def report():
         yield f"relay_power_profile mu {mu}: sha256 {profile_digest(mu)}"
     yield f"grid_best: sha256 {grid_best_digest()}"
     yield f"grid_region: sha256 {grid_region_digest()}"
+    yield f"regime_map at the defaults: sha256 {regime_map_digest()}"
+    yield f"cli {', '.join(argv[0] for argv in CLI_RUNS)}: sha256 {cli_digest()}"
 
 
 def against(rev: str) -> None:

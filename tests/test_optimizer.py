@@ -291,6 +291,21 @@ def test_every_path_reports_its_allocations_best_corner(run, g, mu, method):
     assert res.ambiguous == (g is _CORNER_TIE)
 
 
+@settings(max_examples=100)
+@given(seed=st.integers(min_value=0, max_value=10 ** 9),
+       mu=st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)))
+def test_reported_corners_are_the_checked_rules(seed, mu):
+    # solve reads its corners through pentagon_corner, unchecked; on the
+    # extreme corpus' distribution they are best_weighted_point's corners
+    # of the reported allocation's bounds, bit for bit
+    g = solver_corpus.extreme_gains(random.Random(seed))
+    res = solve(g, mu)
+    cons = compute_constraints(g, res.allocation)
+    assert res.rates == best_weighted_point(cons, mu)
+    if mu == 0.5 and res.alternate_rates is not None:
+        assert res.alternate_rates == best_weighted_point(cons, 0.0)
+
+
 @pytest.mark.parametrize("run, g, mu, method", _PATHS)
 def test_every_path_builds_one_kernel(monkeypatch, run, g, mu, method):
     # counted where optimizer.py and regimes.thresholds (solve_r2t5's
@@ -564,18 +579,18 @@ def test_reported_rates_lie_inside_their_own_pentagon(seed):
 
 
 def test_derivative_code_reads_no_gain_product():
-    """The primal-dual solve (``_primal_dual`` with its Newton step
-    ``newton``) and ``_recover_duals`` take every derivative entry of a rate
-    bound from ``RateKernel.table``; neither reads a gain product."""
+    """The primal-dual solve (``_primal_dual``, its Newton step included)
+    and ``_recover_duals`` take every derivative entry of a rate bound
+    from ``RateKernel.table``; neither reads a gain product."""
     products = set(RateKernel.__slots__) - {"table"}
     tree = ast.parse(Path(optimizer.__file__).read_text(encoding="utf-8"))
     checked, reads = [], []
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in ("_primal_dual", "newton", "_recover_duals"):
+        if isinstance(node, ast.FunctionDef) and node.name in ("_primal_dual", "_recover_duals"):
             checked.append(node.name)
             reads += [f"{node.name}:{n.lineno}.{n.attr}" for n in ast.walk(node)
                       if isinstance(n, ast.Attribute) and n.attr in products]
-    assert sorted(checked) == ["_primal_dual", "_recover_duals", "newton"]
+    assert sorted(checked) == ["_primal_dual", "_recover_duals"]
     assert not reads, reads
 
 

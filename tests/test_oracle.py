@@ -686,7 +686,9 @@ class TestLocalAndAuditValidation:
         value = local_grid_best(R3T5_GAINS, 0.75, self.center, radius=0.0, points_per_axis=1)
         assert math.isfinite(value)
         # and a zero budget, where every rate is 0
-        assert local_grid_best(replace(R3T5_GAINS, p=0.0), 0.75, self.center, radius=0.0) == 0.0
+        for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
+            for radius in (0.0, 0.3):
+                assert local_grid_best(replace(R3T5_GAINS, p=0.0), mu, self.center, radius=radius) == 0.0
 
     @pytest.mark.parametrize("alpha1, edge", [(5.0, 1.25), (-5.0, -0.25)])
     def test_local_box_is_clipped_to_the_budget(self, alpha1, edge):
