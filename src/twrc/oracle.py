@@ -21,12 +21,12 @@ one route, :func:`_corner_best`. Two float facts of the bounds, ``j5 >=
 j1, j3`` and ``j5`` never rising with either user's level, make the
 favored user's rate at each corner independent of the other user's
 level, so an exact crossing search (:func:`_crossing`) finds, per
-favored level and relay pair, the other user's best rate, and
-:func:`_first_level` the first level that reaches it, in O(n m log n)
-time and O(n m) memory for ``n`` levels and ``m`` relay pairs. Those
-are the only points that can hold grid_best's maximum or survive
-grid_region's Pareto filter, with the same floats and the same
-tie-breaks as a point-by-point search.
+favored level and relay pair, the other user's best rate, in O(n m
+log n) time and O(n m) memory for ``n`` levels and ``m`` relay pairs.
+Those are the only points that can hold grid_best's maximum or survive
+grid_region's Pareto filter, with the same floats and tie-breaks as a
+point-by-point search. :func:`_first_level` finds each one's first
+level, skipping those a running max-sum anchor strictly dominates.
 
 The oracle shares only the rate formulas with the solver and never
 calls it; the sweeps that do call it live in :mod:`twrc.sweeps`.
@@ -145,15 +145,17 @@ def _levels(p: float, step: float) -> np.ndarray:
     return vals
 
 
-def _simplex_pair_count(levels: np.ndarray, p: float) -> int:
-    budget = p * (1.0 + 1e-12) - levels
-    return int(np.searchsorted(levels, budget, side="right").clip(min=0).sum())
+def _simplex_counts(levels: np.ndarray, p: float) -> np.ndarray:
+    """Per level ``pw1``, how many of the ascending levels ``pw2`` fit the
+    relay simplex ``pw1 + pw2 <= p``, with 1e-12 relative slack."""
+    return np.searchsorted(levels, p * (1.0 + 1e-12) - levels, side="right")
 
 
 def _simplex_pairs(levels: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    g1, g2 = np.meshgrid(levels, levels, indexing="ij")
-    mask = g1 + g2 <= p * (1.0 + 1e-12)
-    return g1[mask], g2[mask]
+    """The relay simplex pairs ``(pw1, pw2)``, ``pw1`` outermost."""
+    counts = _simplex_counts(levels, p)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(levels, counts), levels[np.arange(len(starts)) - starts]
 
 
 class _Piece(NamedTuple):
@@ -254,25 +256,16 @@ def _corner_best(g: LinkGains, piece: _Piece, favors: Iterable[bool]
         yield f, r1, r2, valid[u], search
 
 
-def _pareto_mask(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+def _pareto_mask(r1: np.ndarray, r2: np.ndarray, key: np.ndarray) -> np.ndarray:
     """Points whose r2 beats every point before them in the order r1
-    descending, then r2 descending, then index.
-
-    Points strictly dominated by the max-``r1 + r2`` anchor are dropped
-    before the sort: the anchor precedes each of them, and precedes
-    every point they precede with no more r2, so dropping them changes
-    no other point's fate. Exact copies of the anchor stay, since they
-    are not dominated strictly.
-    """
-    anchor = np.argmax(r1 + r2)
-    x, y = r1[anchor], r2[anchor]
-    live = np.flatnonzero((r1 > x) | (r2 > y) | ((r1 == x) & (r2 == y)))
-    order = live[np.lexsort((-r2[live], -r1[live]))]
+    descending, then r2 descending, then ``key`` ascending: the points
+    no other point weakly dominates, the first of exact copies in
+    ``key`` order. An empty input gives an empty mask."""
+    order = np.lexsort((key, -r2, -r1))
     r2o = r2[order]
-    cummax = np.maximum.accumulate(r2o)
     keep = np.empty(len(order), dtype=bool)
-    keep[0] = True
-    keep[1:] = r2o[1:] > cummax[:-1]
+    keep[:1] = True
+    keep[1:] = r2o[1:] > np.maximum.accumulate(r2o)[:-1]
     mask = np.zeros(len(r1), dtype=bool)
     mask[order[keep]] = True
     return mask
@@ -327,14 +320,14 @@ def grid_region(g: LinkGains, step: float = 0.05,
     Only the points that can survive the Pareto filter are generated:
     at each corner, per favored-user level and relay pair, the other
     user's first level with its best rate (:func:`_corner_best`,
-    :func:`_first_level`). Every
-    other point of that row has the same favored rate and either less
-    for the other user or as much and a later place in candidate order,
-    so the filter's order puts the generated point first: the other
-    point is dropped and would drop nothing the generated one does not,
-    and the hull is the same as filtering the whole lattice. The filter
-    runs per piece, then over all pieces, which keeps the same points as
-    one filter over all.
+    :func:`_first_level`), unless a running anchor, the candidate with
+    the largest ``r1 + r2`` so far, strictly dominates it (the maxima
+    filter of Kung, Luccio and Preparata, J. ACM 22(4), 1975). Each
+    point left out comes after one at least as good in both rates in the
+    filter's order, which blocks all it would block, so the hull and
+    its sources are those of the whole lattice. The filter runs per
+    piece, keyed by candidate order, then over the pieces in order,
+    which is the same, as one piece's survivors never tie.
 
     Raises :class:`GridCapError` when the lattice would exceed
     ``DEFAULT_GRID_CAP`` evaluations, or the ``TWRC_GRID_CAP``
@@ -352,29 +345,33 @@ def grid_region(g: LinkGains, step: float = 0.05,
         return _direct_hull(g, step)
     levels = _levels(p, step)
     n = len(levels)
-    face = n * n * _simplex_pair_count(levels, p)
+    face = n * n * int(_simplex_counts(levels, p).sum())
     _check_cap({SchemeRestriction.COMPOSITE: 2 * face + n, SchemeRestriction.BLOCK_MARKOV_ONLY: face,
                 SchemeRestriction.INDEPENDENT_ONLY: n, SchemeRestriction.TIME_SHARE: 2 * n * n}[restriction])
     kept: list[tuple[np.ndarray, ...]] = []
+    x = y = -math.inf  # the anchor: the candidate with the largest r1 + r2 so far
     for piece in _pieces(restriction, levels, p):
         # per corner and (favored level, relay pair), the one point that
         # can survive the Pareto filter, keyed by candidate order: user-1
         # point, corner (user 1's first), user-2 point, relay point
         shape = (len(piece.alpha1), 2, len(piece.alpha2), len(piece.pw1))
         found = []
-        for f, r1, r2, valid, search in _corner_best(g, piece, (True, False)):
-            level = _first_level(*search)
-            u, r = np.nonzero(valid)
-            i, k = (u, level[valid]) if f else (level[valid], u)
-            found.append((r1[valid], r2[valid], np.ravel_multi_index((i, int(not f), k, r), shape)))
+        for f, r1, r2, valid, (pv, at, lower) in _corner_best(g, piece, (True, False)):
+            best = np.where(valid, r1 + r2, -np.inf).argmax()  # each piece has a valid point
+            if r1.flat[best] + r2.flat[best] > x + y:
+                x, y = r1.flat[best], r2.flat[best]
+            live = valid & ((r1 > x) | (r2 > y) | ((r1 == x) & (r2 == y)))
+            u, r = np.nonzero(live)
+            level = _first_level(pv, at[live], lower[live])
+            i, k = (u, level) if f else (level, u)
+            found.append((r1[live], r2[live], np.ravel_multi_index((i, int(not f), k, r), shape)))
         r1, r2, key = (np.concatenate(col) for col in zip(*found))
-        order = np.argsort(key)
-        keep = order[_pareto_mask(r1[order], r2[order])]
+        keep = _pareto_mask(r1, r2, key)
         i, _, k, r = np.unravel_index(key[keep], shape)
         a1, a2 = piece.alpha1[i], piece.alpha2[k]
         kept.append((r1[keep], r2[keep], a1, p - a1, a2, p - a2, piece.pw1[r], piece.pw2[r], piece.beta3[r]))
     r1, r2, *powers = (np.concatenate(col) for col in zip(*kept))
-    keep = _pareto_mask(r1, r2)
+    keep = _pareto_mask(r1, r2, np.arange(len(r1)))
     order = np.argsort(r1[keep], kind="stable")
     r1, r2 = r1[keep][order], r2[keep][order]
     powers = [c[keep][order] for c in powers]
@@ -445,7 +442,7 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025) -> list[f
     mus = [validate_mu(mu) for mu in mus]
     p = g.p
     levels = _levels(p, step)
-    _check_cap(len(levels) ** 2 * _simplex_pair_count(levels, p))
+    _check_cap(len(levels) ** 2 * int(_simplex_counts(levels, p).sum()))
     favor1 = [mu >= 0.5 for mu in mus]
     best = [-math.inf] * len(mus)
     for f, r1, r2, valid, _ in _corner_best(g, _face(levels, p, bin_power=True), set(favor1)):
