@@ -20,6 +20,8 @@ from dataclasses import asdict, dataclass, replace
 
 from .errors import CoincidentNodesError, ValidationError, check_number
 
+__all__ = ["GAIN_FIELDS", "Geometry", "LinkGains", "gains_from_geometry", "validate_gains", "validate_geometry"]
+
 GAIN_FIELDS = ("g12", "g21", "g1r", "gr1", "g2r", "gr2")
 # largest amplitude or power budget accepted: the largest product the
 # package forms, the (R2,T5) closed form's ``b * b``, is about

@@ -9,6 +9,9 @@ working.
 import math
 import operator
 
+__all__ = ["CoincidentNodesError", "GridCapError", "InfeasibleAllocationError", "NoRootError", "SideConditionError",
+           "TwrcError", "ValidationError", "WrongRegimeError"]
+
 
 class TwrcError(Exception):
     """Base class for all errors raised by this package."""

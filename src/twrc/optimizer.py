@@ -70,6 +70,9 @@ from .rate_region import (
 )
 from .regimes import SchemeAssignment, Technique, classify, thresholds
 
+__all__ = ["ACTIVITY_THRESHOLD", "KktDiagnostics", "SolveResult", "check_full_power", "min_relay_power", "solve",
+           "solve_r2t5"]
+
 # A power component below this fraction of the budget counts as inactive
 # when labeling techniques and deciding relay full power.
 ACTIVITY_THRESHOLD = 1e-6

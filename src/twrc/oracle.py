@@ -48,6 +48,9 @@ from .channel import LinkGains, validate_gains
 from .errors import GridCapError, ValidationError, check_count, check_number
 from .rate_region import PowerAllocation, RateKernel, RatePoint, capacity, validate_mu
 
+__all__ = ["DEFAULT_GRID_CAP", "RegionHull", "SchemeRestriction", "grid_best", "grid_region", "hull_contains",
+           "hull_exceeds", "local_grid_best"]
+
 DEFAULT_GRID_CAP = 10 ** 8
 GRID_CAP_ENV = "TWRC_GRID_CAP"
 
@@ -134,8 +137,6 @@ def _levels(p: float, step: float) -> np.ndarray:
 
     Every lattice evaluates at least one point per level, so the level
     count is checked against the cap before anything is allocated."""
-    if p <= 0.0:
-        return np.zeros(1)
     ratio = p / step + 1e-9
     _check_cap(math.floor(ratio) + 1 if math.isfinite(ratio) else ratio, at_least=True)
     n = math.floor(ratio)

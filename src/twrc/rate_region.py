@@ -34,6 +34,9 @@ import numpy as np
 from .channel import LinkGains, numbers_from_dict, validate_gains
 from .errors import InfeasibleAllocationError, check_number
 
+__all__ = ["PowerAllocation", "RateConstraints", "RatePoint", "best_weighted_point", "capacity",
+           "compute_constraints", "validate_allocation"]
+
 # Absolute slack (scaled by max(1, p)) when checking power budgets, so
 # allocations produced by float arithmetic on the budget boundary pass.
 BUDGET_SLACK = 1e-9

@@ -35,6 +35,9 @@ from .channel import LinkGains, validate_gains
 from .errors import SideConditionError, ValidationError
 from .rate_region import RateKernel, validate_mu
 
+__all__ = ["TECHNIQUE_TABLE", "Regime", "SchemeAssignment", "Technique", "TechniqueDecision", "assignment_for_gains",
+           "classify", "technique_lookup"]
+
 R_LABELS = ("R1", "R2", "R3")
 T_LABELS = ("T1", "T2", "T3", "T4", "T5")
 
@@ -47,7 +50,7 @@ class Technique(str, Enum):
     BM = "BM"
     BOTH = "Both"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.value
 
 

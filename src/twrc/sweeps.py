@@ -15,6 +15,8 @@ from .optimizer import ACTIVITY_THRESHOLD, solve
 from .rate_region import validate_mu
 from .regimes import Regime, SchemeAssignment, TechniqueDecision, classify, technique_lookup
 
+__all__ = ["MapCell", "ProfilePoint", "regime_map", "relay_power_profile"]
+
 
 def technique_labels(g: LinkGains, reg: Regime, mu: float) -> tuple[TechniqueDecision, str]:
     """Labels for gains ``g`` with ``reg = classify(g)``, and their source:

@@ -11,7 +11,7 @@ from unittest import mock
 
 import pytest
 
-from twrc import GAIN_FIELDS, Geometry, cli
+from twrc import GAIN_FIELDS, Geometry, NoRootError, cli
 
 from helpers import R2T3_GAINS, R3T5_GAINS
 
@@ -231,6 +231,15 @@ class TestSolve:
         assert alloc["pw2"] == 0.0
         assert alloc["beta3"] == 0.0
         assert payload["assignment"] == {"user1": "DT", "user2": "DT"}
+
+    def test_other_twrc_error_exits_one(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NoRootError("no root in the bracket")
+
+        monkeypatch.setattr(cli, "solve", fail)
+        proc = run_cli("solve", *gain_flags(R3T5_GAINS))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: no root in the bracket\n"
 
     def test_weight_out_of_range(self):
         proc = run_cli("solve", *gain_flags(R3T5_GAINS), "--mu", "1.5")

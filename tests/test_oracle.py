@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from twrc import oracle, sweeps
+from twrc import oracle, regimes, sweeps
 from twrc import (
     ACTIVITY_THRESHOLD,
     Geometry,
@@ -48,10 +48,14 @@ def showcase_hulls():
     }
 
 
+ZERO_POWER = LinkGains(g12=0.5, g21=0.5, g1r=0.5, gr1=0.5, g2r=0.5, gr2=0.5, p=0.0)
+
+
 class TestGridRegion:
-    def test_zero_power_hull_is_origin(self):
-        g = LinkGains(g12=0.5, g21=0.5, g1r=0.5, gr1=0.5, g2r=0.5, gr2=0.5, p=0.0)
-        hull = grid_region(g, step=0.05)
+    @pytest.mark.parametrize("step", [0.05, 2.0])
+    @pytest.mark.parametrize("restriction", list(SchemeRestriction), ids=lambda r: r.value)
+    def test_zero_power_hull_is_origin(self, restriction, step):
+        hull = grid_region(ZERO_POWER, step=step, restriction=restriction)
         assert all(v.r1 == 0.0 and v.r2 == 0.0 for v in hull.vertices)
 
     def test_vertices_trace_a_staircase(self, showcase_hulls):
@@ -226,6 +230,10 @@ class TestContainment:
 
 
 class TestGridBest:
+    @pytest.mark.parametrize("step", [0.05, 2.0])
+    def test_zero_power_best_is_zero(self, step):
+        assert grid_best(ZERO_POWER, (0.0, 0.25, 0.5, 0.75, 1.0), step=step) == [0.0] * 5
+
     def test_matches_solver_within_resolution(self):
         rng = random.Random(53)
         for _ in range(3):
@@ -602,6 +610,17 @@ class TestRegimeMap:
         decision, source = sweeps.technique_labels(g, reg, 0.75)
         assert source == "solver"
         assert decision.assignment == solve(g, 0.75).assignment
+
+    @pytest.mark.parametrize("g1r, holds, expected", [(1.0, True, "table"),
+                                                      (math.nextafter(1.0, 0.0), False, "solver")])
+    def test_side_condition_boundary_belongs_to_the_table(self, g1r, holds, expected):
+        # at g12 = gr1 = g1r = p = 1 both column thresholds are exactly 2.0
+        g = LinkGains(g12=1.0, g21=0.5, g1r=g1r, gr1=1.0, g2r=0.5, gr2=0.5, p=1.0)
+        t_cuts = regimes.thresholds(g)[3]
+        assert (t_cuts[1] == t_cuts[2] == 2.0) is holds
+        reg = classify(g)
+        assert reg.side_condition_holds is holds
+        assert sweeps.technique_labels(g, reg, 0.75)[1] == expected
 
     def test_resolution_validation(self):
         with pytest.raises(ValidationError, match="resolution"):

@@ -83,6 +83,9 @@ class TestTechniqueTable:
         assert TECHNIQUE_TABLE[("R1", "T1")] == (Technique.DT, Technique.DT)
         assert TECHNIQUE_TABLE[("R3", "T4")] == (Technique.BOTH, Technique.BOTH)
 
+    def test_technique_prints_its_label(self):
+        assert str(Technique.IND) == f"{Technique.IND}" == "Ind"
+
     def test_user2_technique_never_regresses_along_rows(self):
         rank = {Technique.DT: 0, Technique.IND: 1, Technique.BM: 2, Technique.BOTH: 2}
         for r in R_CELLS:

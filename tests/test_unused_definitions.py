@@ -4,9 +4,17 @@ package outside its own body. A test-only reference belongs in
 ``tests``."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def loaded_names(tree: ast.AST) -> Counter:
+    """How often each name is loaded in ``tree``, by name or as an
+    attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                   if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)) or isinstance(n, ast.Attribute))
 
 
 def unused_private_definitions(sources: dict[str, str]) -> list[str]:
@@ -14,22 +22,10 @@ def unused_private_definitions(sources: dict[str, str]) -> list[str]:
     ``sources`` (module name to source text) that no code in any of them
     loads, by name or as an attribute, outside the definition itself."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    unused = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
-                    and not node.name.endswith("__")):
-                continue
-            own = {id(n) for n in ast.walk(node)}
-            loaded = any(
-                id(n) not in own
-                and ((isinstance(n, ast.Name) and n.id == node.name and isinstance(n.ctx, ast.Load))
-                     or (isinstance(n, ast.Attribute) and n.attr == node.name))
-                for other in trees.values() for n in ast.walk(other)
-            )
-            if not loaded:
-                unused.append(f"{module}.{node.name}")
-    return sorted(unused)
+    loads = sum(map(loaded_names, trees.values()), Counter())
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+                  and not node.name.endswith("__") and loads[node.name] == loaded_names(node)[node.name])
 
 
 def test_checker_flags_only_unloaded_private_definitions():

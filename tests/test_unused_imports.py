@@ -1,7 +1,8 @@
 """Static check, standing in for a linter: no module in ``src/twrc`` or
-``tests`` imports a name it never uses. ``__init__.py`` re-exports and
-``from __future__`` imports are exempt; instead ``__all__`` must name
-exactly what ``__init__.py`` binds."""
+``tests`` imports a name it never uses. ``__init__.py``, which
+re-exports each module by star import, and ``from __future__`` imports
+are exempt; instead each module's ``__all__`` must list only names the
+module defines, and ``twrc.__all__`` must be exactly those lists."""
 
 import ast
 from pathlib import Path
@@ -39,20 +40,30 @@ def test_module_has_no_unused_imports(path):
 
 
 def test_all_names_exactly_what_init_binds():
-    """Every name ``twrc/__init__.py`` imports or assigns, other than
-    ``__all__`` itself, is in ``__all__`` once, and nothing else is, so a
-    removed name cannot leave a stale entry; ``from twrc import *``
+    """Each module ``twrc/__init__.py`` star-imports lists in its own
+    ``__all__`` only names it defines at top level, so a removed name
+    cannot leave a stale entry; ``twrc.__all__`` is ``__version__``
+    followed by those lists, each name once, and ``from twrc import *``
     binds them all."""
-    tree = ast.parse((ROOT / "src" / "twrc" / "__init__.py").read_text(encoding="utf-8"))
-    bound = set()
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
-            bound.update(alias.asname or alias.name for alias in node.names)
-        elif isinstance(node, ast.Assign):
-            bound.update(target.id for target in node.targets)
-    bound.discard("__all__")
+    init = ast.parse((ROOT / "src" / "twrc" / "__init__.py").read_text(encoding="utf-8"))
+    starred = [node.module for node in init.body
+               if isinstance(node, ast.ImportFrom) and [alias.name for alias in node.names] == ["*"]]
+    assert starred
+    exported = ["__version__"]
+    for module in starred:
+        tree = ast.parse((ROOT / "src" / "twrc" / f"{module}.py").read_text(encoding="utf-8"))
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(target.id for target in targets if isinstance(target, ast.Name))
+        listed = getattr(twrc, module).__all__
+        assert set(listed) <= defined - {"__all__"}, module
+        exported += listed
     namespace: dict = {}
     exec("from twrc import *", namespace)
-    assert len(twrc.__all__) == len(set(twrc.__all__))
-    assert set(twrc.__all__) == bound
-    assert bound <= namespace.keys()
+    assert twrc.__all__ == exported
+    assert len(exported) == len(set(exported))
+    assert set(exported) <= namespace.keys()
