@@ -45,11 +45,11 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .channel import LinkGains, validate_gains
-from .errors import GridCapError, ValidationError, check_count, check_number
+from .errors import GridCapError, ValidationError, check_number
 from .rate_region import PowerAllocation, RateKernel, RatePoint, capacity, validate_mu
 
 __all__ = ["DEFAULT_GRID_CAP", "RegionHull", "SchemeRestriction", "grid_best", "grid_region", "hull_contains",
-           "hull_exceeds", "local_grid_best"]
+           "hull_exceeds"]
 
 DEFAULT_GRID_CAP = 10 ** 8
 GRID_CAP_ENV = "TWRC_GRID_CAP"
@@ -239,8 +239,7 @@ def _corner_best(g: LinkGains, piece: _Piece, favors: Iterable[bool]
     corner swaps the users. Each piece of :func:`_pieces` gives the
     other user a valid point at every relay pair (where its coherent
     power is positive, its levels reach ``p > 0``), so the rates are
-    finite wherever ``valid`` holds; on other pieces the other user's
-    rate is -inf where it has no valid level.
+    finite wherever ``valid`` holds.
     """
     j1, j2, j3, j4, j5 = _bounds(g, piece)
     j5 = j5[:, :, 0]
@@ -415,8 +414,7 @@ def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025) -> list[f
     dominates it, so the result may sit that far below a search of the
     whole lattice. :func:`grid_region` searches every piece, because
     each restricted lattice must stay a literal subset of the composite
-    one, and :func:`local_grid_best` both corners of a box around a
-    solver point, which need not meet the full-power face.
+    one.
 
     The face is one :func:`_bounds` call, shared across all weights, so
     checking several weights costs barely more than one. Its search is
@@ -459,10 +457,11 @@ def _crossing(own: np.ndarray, other: np.ndarray, valid: np.ndarray,
     every favored-user level ``i`` and relay pair ``r``: the other user's
     best rate at the favored corner, with ``own`` the favored user's
     rate, ``other`` the min of the other user's own bounds, ``valid`` its
-    valid points and ``j5`` indexed (favored level, other level). Where
-    no ``k`` is valid the rate is -inf. Also returns the search's state,
-    ``(pv, at, lower)``, from which :func:`_first_level` finds the first
-    ``k`` that reaches the rate.
+    valid points and ``j5`` indexed (favored level, other level). Every
+    piece of :func:`_pieces` gives each ``r`` a valid ``k`` (see
+    :func:`_corner_best`), so the rate is finite. Also returns the
+    search's state, ``(pv, at, lower)``, from which :func:`_first_level`
+    finds the first ``k`` that reaches the rate.
 
     With ``w = j5[i, k] - own[i, r]``, which never rises with ``k``, and
     ``pv`` the prefix max of ``other`` over ``k``, which never falls,
@@ -505,8 +504,6 @@ def _first_level(pv: np.ndarray, at: np.ndarray, lower: np.ndarray) -> np.ndarra
     its state: ``pv[r, k]``, the prefix max of the other user's valid
     rates below level ``k``, the flat index ``at = r * size + c`` of each
     crossing ``c`` into it, and ``lower``, where ``pv[c - 1] >= w[c]``.
-    Where no level is valid it is 0, as ``np.argmax`` gives on an all
-    -inf row.
 
     Below the crossing each ``min`` is ``other`` itself, so where
     ``lower`` holds the first maximizer is ``pv[c - 1]``'s first level;
@@ -522,47 +519,6 @@ def _first_level(pv: np.ndarray, at: np.ndarray, lower: np.ndarray) -> np.ndarra
     np.maximum.accumulate(first, axis=1, out=first)
     level[lower] = first.ravel().take(at[lower])
     return level
-
-
-def local_grid_best(g: LinkGains, mu: float, center: PowerAllocation,
-                    radius: float, points_per_axis: int = 9) -> float:
-    """Best weighted sum on a dense box around a candidate optimum.
-
-    Varies (alpha1, alpha2, pw1, pw2, beta3) within ``radius`` of the
-    center, clipped to the feasible set, users at full power. Used to
-    probe whether a solver point is locally beatable. ``radius`` and the
-    center's fields must be finite, ``radius`` also nonnegative, and
-    ``points_per_axis`` a positive integer; the cap counts the
-    ``points_per_axis ** 5`` points of the box.
-
-    The box is a product piece whose user levels ascend, so the float
-    facts behind :func:`_crossing` hold on it and :func:`_corner_best`
-    gives, at both corners, the same best as every point of the box.
-    Unlike the lattice pieces, a relay point of the box may leave the
-    other user no valid level, which :func:`_crossing` reports as -inf.
-    """
-    validate_gains(g)
-    mu = validate_mu(mu)
-    for name, value in center.to_dict().items():
-        check_number(f"center {name}", value)
-    check_number("radius", radius, 0.0)
-    points_per_axis = check_count("points_per_axis", points_per_axis, 1)
-    _check_cap(points_per_axis ** 5)
-    p = g.p
-
-    def axis(value: float) -> np.ndarray:
-        return np.linspace(*np.clip([value - radius, value + radius], 0.0, p), points_per_axis)
-
-    a1, a2 = axis(center.alpha1), axis(center.alpha2)
-    q1, q2, b3 = (x.ravel() for x in np.meshgrid(axis(center.pw1), axis(center.pw2),
-                                                 axis(center.beta3), indexing="ij"))
-    ok = q1 + q2 + b3 <= p * (1.0 + 1e-12)
-    best = -math.inf
-    for _, r1, r2, valid, _ in _corner_best(g, _Piece(a1, a2, q1[ok], q2[ok], b3[ok]),
-                                             (True, False)):
-        valid = valid & (np.minimum(r1, r2) > -math.inf)
-        best = max(best, float(np.max(mu * r1[valid] + (1.0 - mu) * r2[valid], initial=-math.inf)))
-    return best
 
 
 # absorbs interpolation round-off so exact-subset containment at slack 0

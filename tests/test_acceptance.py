@@ -24,7 +24,6 @@ from twrc import (
     grid_region,
     hull_contains,
     hull_exceeds,
-    local_grid_best,
     min_relay_power,
     regime_map,
     relay_power_profile,
@@ -40,6 +39,7 @@ from helpers import (
     random_gains,
     sample_cell,
 )
+from oracle_reference import local_box_best
 
 
 def test_criterion_1_technique_table_reproduction(acceptance_record):
@@ -185,7 +185,7 @@ def test_criterion_6_solver_matches_grid_oracle(acceptance_record):
             worst_below = max(worst_below, grid_value - res.weighted_sum)
             if res.weighted_sum < grid_value - bound:
                 violations += 1
-            local = local_grid_best(g, mu, res.allocation, radius=0.02 * g.p)
+            local = local_box_best(g, mu, res.allocation, 0.02 * g.p, 9)
             worst_local = max(worst_local, local - res.weighted_sum)
             if local > res.weighted_sum + 1e-6:
                 violations += 1

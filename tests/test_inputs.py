@@ -30,7 +30,6 @@ from twrc import (
     grid_region,
     hull_contains,
     hull_exceeds,
-    local_grid_best,
     min_relay_power,
     regime_map,
     relay_power_profile,
@@ -63,12 +62,10 @@ REALS = [
     ("mu", lambda v: assignment_for_gains(G, v), 1.5, 0.75),
     ("mu", lambda v: best_weighted_point(CONS, v), 1.5, 0.5),
     ("mu", lambda v: grid_best(G, [v], step=0.5), 1.5, 0.5),
-    ("mu", lambda v: local_grid_best(G, v, ALLOC, radius=0.0, points_per_axis=1), 1.5, 0.5),
     ("mu", lambda v: regime_map(resolution=2, mu=v), 1.5, 0.5),
     ("mu", lambda v: relay_power_profile(samples=1, mu=v), 1.5, 0.5),
     ("step", lambda v: grid_best(G, [0.5], step=v), 0.0, 0.25),
     ("step", lambda v: grid_region(G, step=v), 2.0, 0.5),
-    ("radius", lambda v: local_grid_best(G, 0.5, ALLOC, radius=v, points_per_axis=1), -0.25, 0.25),
     ("slack", lambda v: hull_contains(HULL, HULL, v), -0.25, 0.0),
     ("margin", lambda v: hull_exceeds(HULL, HULL, v), -0.25, 0.0),
     ("capacity argument x", capacity, -1.0, 1.0),
@@ -101,7 +98,6 @@ REALS += [("g12", lambda v, f=f: f(replace(R2T3_GAINS, g12=v)), -1.0, 0.25) for 
     lambda g: assignment_for_gains(g, 0.75),
     lambda g: grid_best(g, [0.75], step=0.5), lambda g: grid_region(g, step=0.5),
     lambda g: compute_constraints(g, ALLOC),
-    lambda g: local_grid_best(g, 0.75, ALLOC, radius=0.0, points_per_axis=1),
     lambda g: check_full_power(g, RESULT),
 )]
 REALS += [("g12", lambda v: solve_r2t5(replace(R2T5_GAINS, g12=v), 0.75), -1.0, 0.25)]
@@ -110,20 +106,16 @@ REALS += [("gamma1", lambda v, f=f: f(replace(Geometry(), gamma1=v)), 0.0, 2.0) 
     gains_from_geometry, lambda geom: regime_map(geom, resolution=2),
     lambda geom: relay_power_profile(geom, samples=1),
 )]
-# the box is clipped to the feasible set, so any finite center is in range
-REALS += [(f"center {name}", lambda v, name=name: local_grid_best(
-    G, 0.5, replace(ALLOC, **{name: v}), radius=0.0, points_per_axis=1), None, getattr(ALLOC, name))
-    for name in ALLOC.to_dict()]
 
 COUNTS = [
     ("resolution", lambda v: regime_map(resolution=v), 1, 2),
     ("samples", lambda v: relay_power_profile(samples=v), 0, 1),
-    ("points_per_axis", lambda v: local_grid_best(G, 0.5, ALLOC, radius=0.0, points_per_axis=v), 0, 1),
 ]
 
 # numbers of REALS rows removed with the functions they checked (a boundary
-# trace and the unreduced lattice search), which no row reuses
-RETIRED = {6, 8, 13, 56, 59}
+# trace, the unreduced lattice search and the local box search), which no
+# row reuses
+RETIRED = {6, 7, 8, 13, 14, 56, 59, 61, *range(68, 75)}
 
 NOT_REALS = ["0.5", None, 1j, math.nan, math.inf, -math.inf]
 # too large for a float, yet a valid count, so tried on REALS only

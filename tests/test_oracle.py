@@ -29,7 +29,6 @@ from twrc import (
     grid_region,
     hull_contains,
     hull_exceeds,
-    local_grid_best,
     regime_map,
     relay_power_profile,
     solve,
@@ -250,7 +249,7 @@ class TestGridBest:
         for _ in range(5):
             g = random_gains(rng)
             res = solve(g, 0.75)
-            local = local_grid_best(g, 0.75, res.allocation, radius=0.02 * g.p)
+            local = local_box_best(g, 0.75, res.allocation, 0.02 * g.p, 9)
             assert local <= res.weighted_sum + 1e-6
 
     def test_unreduced_audit_grid_confirms_full_power_reduction(self):
@@ -352,7 +351,9 @@ def test_face_bounds_keep_the_float_facts_grid_best_relies_on(amps, log_p, divis
     # j5 >= j1 and j5 >= j3 elementwise, and j5 never rises along either
     # user's level axis, on every piece of every lattice exactly as
     # grid_best and grid_region build it: the bin face, the beta3 = 0
-    # face, the bin-only line and both time-share pieces
+    # face, the bin-only line and both time-share pieces; and at both
+    # corners the rates are finite wherever valid holds, as grid_region's
+    # argmax ("each piece has a valid point") assumes
     p = 10.0 ** log_p
     g = LinkGains(g12=amps[0], g21=amps[1], g1r=amps[2], gr1=amps[3], g2r=amps[4], gr2=amps[5], p=p)
     levels = oracle._levels(p, p / divisions)
@@ -361,6 +362,8 @@ def test_face_bounds_keep_the_float_facts_grid_best_relies_on(amps, log_p, divis
             j1, _, j3, _, j5 = oracle._bounds(g, piece)
             assert np.all(j5 >= j1) and np.all(j5 >= j3)
             assert np.all(np.diff(j5, axis=0) <= 0.0) and np.all(np.diff(j5, axis=1) <= 0.0)
+            for _, r1, r2, valid, _ in oracle._corner_best(g, piece, (True, False)):
+                assert np.all(np.isfinite(r1[valid])) and np.all(np.isfinite(r2[valid]))
 
 
 def test_grid_best_memory_stays_linear_in_the_face():
@@ -416,28 +419,6 @@ def test_crossing_returns_the_best_and_its_first_level(args):
     every = np.where(valid[None], every, -np.inf)
     assert np.array_equal(best, every.max(axis=1))
     assert np.array_equal(level, every.argmax(axis=1))
-
-
-@given(
-    amps=st.lists(amplitude, min_size=6, max_size=6),
-    log_p=st.floats(min_value=-6.0, max_value=4.0),
-    center=st.lists(st.floats(min_value=-0.5, max_value=1.5), min_size=5, max_size=5),
-    radius=st.floats(min_value=0.0, max_value=0.5),
-    points_per_axis=st.integers(min_value=1, max_value=6),
-    mu=st.floats(min_value=0.0, max_value=1.0),
-)
-# a user clipped to alpha = 0 has no valid level at relay points that
-# spend coherent power on it; weighted by 0 they must still not count
-@example(amps=[1.0] * 6, log_p=0.0, center=[-0.5, 0.5, 0.0, 0.0, 0.5], radius=0.25, points_per_axis=3, mu=0.0)
-@example(amps=[1.0] * 6, log_p=0.0, center=[0.5, -0.5, 0.0, 0.0, 0.5], radius=0.25, points_per_axis=3, mu=1.0)
-def test_local_grid_best_matches_materialized_box(amps, log_p, center, radius, points_per_axis, mu):
-    p = 10.0 ** log_p
-    g = LinkGains(g12=amps[0], g21=amps[1], g1r=amps[2], gr1=amps[3], g2r=amps[4], gr2=amps[5], p=p)
-    # fractions outside [0, 1] put the center outside the budget
-    a1, a2, q1, q2, b3 = (c * p for c in center)
-    alloc = PowerAllocation(alpha1=a1, beta1=p - a1, alpha2=a2, beta2=p - a2, pw1=q1, pw2=q2, beta3=b3)
-    got = local_grid_best(g, mu, alloc, radius * p, points_per_axis)
-    assert got == local_box_best(g, mu, alloc, radius * p, points_per_axis)
 
 
 def plain_pareto_mask(r1, r2):
@@ -704,47 +685,6 @@ class TestRestrictionSemantics:
 
 
 class TestLocalAndAuditValidation:
-    center = PowerAllocation(alpha1=0.2, beta1=0.8, alpha2=0.3, beta2=0.7, pw1=0.1, pw2=0.2, beta3=0.7)
-
-    @pytest.mark.parametrize("mu", [-0.1, 1.5, math.nan])
-    def test_local_rejects_mu_outside_unit_interval(self, mu):
-        with pytest.raises(ValidationError, match="mu"):
-            local_grid_best(R3T5_GAINS, mu, self.center, radius=0.02)
-
-    @pytest.mark.parametrize("radius", [-0.5, math.nan, math.inf])
-    def test_local_rejects_bad_radius(self, radius):
-        with pytest.raises(ValidationError, match="radius"):
-            local_grid_best(R3T5_GAINS, 0.75, self.center, radius=radius)
-
-    @pytest.mark.parametrize("points", [0, -3, 2.5])
-    def test_local_rejects_bad_points_per_axis(self, points):
-        with pytest.raises(ValidationError, match="points_per_axis"):
-            local_grid_best(R3T5_GAINS, 0.75, self.center, radius=0.02, points_per_axis=points)
-
-    def test_local_accepts_zero_radius_and_one_point(self):
-        value = local_grid_best(R3T5_GAINS, 0.75, self.center, radius=0.0, points_per_axis=1)
-        assert math.isfinite(value)
-        # and a zero budget, where every rate is 0
-        for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
-            for radius in (0.0, 0.3):
-                assert local_grid_best(replace(R3T5_GAINS, p=0.0), mu, self.center, radius=radius) == 0.0
-
-    @pytest.mark.parametrize("alpha1, edge", [(5.0, 1.25), (-5.0, -0.25)])
-    def test_local_box_is_clipped_to_the_budget(self, alpha1, edge):
-        # a center past p + radius (or below -radius) searches the budget's
-        # end, not alpha1 > p (a negative beta1) or alpha1 < 0
-        far = replace(self.center, alpha1=alpha1)
-        near = replace(self.center, alpha1=edge)
-        got = local_grid_best(R3T5_GAINS, 0.75, far, radius=0.25)
-        assert math.isfinite(got)
-        assert got == local_grid_best(R3T5_GAINS, 0.75, near, radius=0.25)
-
-    def test_local_checks_the_grid_cap(self, monkeypatch):
-        # the default box holds 9 ** 5 points
-        monkeypatch.setenv("TWRC_GRID_CAP", "10")
-        with pytest.raises(GridCapError, match=rf"{9 ** 5} evaluations"):
-            local_grid_best(R3T5_GAINS, 0.75, self.center, radius=0.02)
-
     def test_audit_matches_the_full_relay_meshgrid(self):
         # the unreduced reference against every (user-1 split, user-2
         # split) pair over the relay triples the cube mask keeps
