@@ -685,6 +685,27 @@ class TestRestrictionSemantics:
 
 
 class TestLocalAndAuditValidation:
+    # the local box search criterion 6 refines each solve answer with
+    center = PowerAllocation(alpha1=0.2, beta1=0.8, alpha2=0.3, beta2=0.7, pw1=0.1, pw2=0.2, beta3=0.7)
+
+    def test_local_accepts_zero_radius_and_one_point(self):
+        value = local_box_best(R3T5_GAINS, 0.75, self.center, 0.0, 1)
+        assert math.isfinite(value)
+        # and a zero budget, where every rate is 0
+        for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
+            for radius in (0.0, 0.3):
+                assert local_box_best(replace(R3T5_GAINS, p=0.0), mu, self.center, radius, 9) == 0.0
+
+    @pytest.mark.parametrize("alpha1, edge", [(5.0, 1.25), (-5.0, -0.25)])
+    def test_local_box_is_clipped_to_the_budget(self, alpha1, edge):
+        # a center past p + radius (or below -radius) searches the budget's
+        # end, not alpha1 > p (a negative beta1) or alpha1 < 0
+        far = replace(self.center, alpha1=alpha1)
+        near = replace(self.center, alpha1=edge)
+        got = local_box_best(R3T5_GAINS, 0.75, far, 0.25, 9)
+        assert math.isfinite(got)
+        assert got == local_box_best(R3T5_GAINS, 0.75, near, 0.25, 9)
+
     def test_audit_matches_the_full_relay_meshgrid(self):
         # the unreduced reference against every (user-1 split, user-2
         # split) pair over the relay triples the cube mask keeps
