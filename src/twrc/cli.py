@@ -93,7 +93,10 @@ def _emit(text: str, out: Optional[str], summary: Optional[str] = None) -> None:
     """Write the artifact to --out (summary to stdout) or to stdout
     (summary to stderr, keeping the artifact clean)."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(f"cannot write output file {out!r}: {exc}") from exc
         if summary:
             print(summary)
     else:
@@ -110,7 +113,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     g = _resolve_gains(args)
     mu = check_number("--mu", args.mu, 0.0, 1.0)
     reg = classify(g)
-    decision, source = technique_labels(g, reg, mu)
+    decision, source = technique_labels(g, mu)
     payload: dict = {"regime": reg.to_dict(), "mu": mu,
                      "assignment": decision.assignment.to_dict(), "source": source}
     if decision.ambiguous:
@@ -157,9 +160,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_map(args: argparse.Namespace) -> int:
     geom = _resolve_geometry(args)
     mu = check_number("--mu", args.mu, 0.0, 1.0)
-    p = args.p if args.p is not None else 1.0
     bounds = (args.xmin, args.xmax, args.ymin, args.ymax)
-    cells = regime_map(geom, bounds=bounds, resolution=args.resolution, mu=mu, p=p)
+    cells = regime_map(geom, bounds=bounds, resolution=args.resolution, mu=mu, p=args.p)
     if args.format == "json":
         rows = []
         for c in cells:
@@ -190,7 +192,6 @@ def cmd_map(args: argparse.Namespace) -> int:
 def cmd_relay_power(args: argparse.Namespace) -> int:
     geom = _resolve_geometry(args)
     mu = check_number("--mu", args.mu, 0.0, 1.0)
-    p = args.p if args.p is not None else 1.0
     segment = []
     for label, xflag, yflag, default in (("start", "x0", "y0", geom.user1),
                                          ("end", "x1", "y1", geom.user2)):
@@ -207,8 +208,8 @@ def cmd_relay_power(args: argparse.Namespace) -> int:
         segment.append((x, y))
     start, end = segment
     points = relay_power_profile(
-        geom, samples=args.samples, start=start, end=end, mu=mu, p=p)
-    fractions = [pt.beta3 / p for pt in points] if p > 0 else [0.0 for _ in points]
+        geom, samples=args.samples, start=start, end=end, mu=mu, p=args.p)
+    fractions = [pt.beta3 / args.p for pt in points] if args.p > 0 else [0.0 for _ in points]
     summary = None
     if fractions:
         summary = (f"min_power_fraction={_fmt(min(fractions))} "
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("map", help="technique map over relay positions")
     sub.add_argument("--geometry", metavar="FILE", help="JSON geometry template (default: users 20 m apart)")
-    sub.add_argument("--p", type=float, help="power budget per node (default 1)")
+    sub.add_argument("--p", type=float, default=1.0, help="power budget per node (default 1)")
     sub.add_argument("--mu", type=float, default=0.75)
     sub.add_argument("--resolution", type=int, default=DEFAULT_MAP_RESOLUTION,
                      help=f"grid points per axis (default {DEFAULT_MAP_RESOLUTION})")
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("relay-power", help="required relay power along a segment")
     sub.add_argument("--geometry", metavar="FILE", help="JSON geometry template (default: users 20 m apart)")
-    sub.add_argument("--p", type=float, help="power budget per node (default 1)")
+    sub.add_argument("--p", type=float, default=1.0, help="power budget per node (default 1)")
     sub.add_argument("--mu", type=float, default=0.75)
     sub.add_argument("--samples", type=int, default=41, help="interior sample count (default 41)")
     sub.add_argument("--x0", type=float, help="segment start x (default: user 1)")

@@ -22,7 +22,8 @@ the index-swapped gains with the two users' labels exchanged.
 
 :func:`thresholds` is the one place the cell boundaries are computed;
 :func:`classify` and the closed forms' range checks in
-:mod:`twrc.optimizer` read them.
+:mod:`twrc.optimizer` read them. :func:`technique_lookup` is the one
+place the table is read, and so the one place the swap rule is applied.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from enum import Enum
 from typing import Optional
 
 from .channel import LinkGains, validate_gains
-from .errors import SideConditionError, ValidationError
+from .errors import SideConditionError
 from .rate_region import RateKernel, validate_mu
 
-__all__ = ["TECHNIQUE_TABLE", "Regime", "SchemeAssignment", "Technique", "TechniqueDecision", "assignment_for_gains",
-           "classify", "technique_lookup"]
+__all__ = ["TECHNIQUE_TABLE", "Regime", "SchemeAssignment", "Technique", "TechniqueDecision", "classify",
+           "technique_lookup"]
 
 R_LABELS = ("R1", "R2", "R3")
 T_LABELS = ("T1", "T2", "T3", "T4", "T5")
@@ -159,52 +160,32 @@ def classify(g: LinkGains) -> Regime:
                   side_condition_holds=t_cuts[1] <= t_cuts[2])
 
 
-def technique_lookup(
-    reg: Regime,
-    mu: float,
-    swapped_reg: Optional[Regime] = None,
-) -> TechniqueDecision:
-    """Look up the optimal techniques for a classified regime and weight.
+def technique_lookup(g: LinkGains, mu: float) -> TechniqueDecision:
+    """Look up the optimal techniques for gains ``g`` and weight ``mu``.
 
-    For ``mu < 1/2`` the stored table applies to the index-swapped gains,
-    so ``swapped_reg`` (the classification of ``g.swapped()``) is required
-    and the users' labels are exchanged. At ``mu = 1/2`` both orientations
-    are returned, flagged ambiguous. Raises :class:`SideConditionError`
-    when the relevant orientation's side condition fails; the numeric
-    solver is the fallback in that case.
+    For ``mu > 1/2`` the stored table is read at ``classify(g)``; for
+    ``mu < 1/2`` at ``classify(g.swapped())``, with the users' labels
+    exchanged. At ``mu = 1/2`` both orientations are returned, flagged
+    ambiguous. Raises :class:`SideConditionError` when the side condition
+    of an orientation it reads fails; the numeric solver is the fallback
+    in that case.
     """
     mu = validate_mu(mu)
 
-    def direct_assignment(r: Regime) -> SchemeAssignment:
-        if not r.side_condition_holds:
+    def table(gains: LinkGains) -> SchemeAssignment:
+        reg = classify(gains)
+        if not reg.side_condition_holds:
             raise SideConditionError(
                 "technique table does not cover these gains "
                 "(column thresholds are unordered); use the numeric solver"
             )
-        user1, user2 = TECHNIQUE_TABLE[r.cell]
+        user1, user2 = TECHNIQUE_TABLE[reg.cell]
         return SchemeAssignment(user1=user1, user2=user2)
 
-    def transposed_assignment(r: Optional[Regime]) -> SchemeAssignment:
-        if r is None:
-            raise ValidationError(
-                "mu <= 1/2 requires swapped_reg, the classification "
-                "of the index-swapped gains"
-            )
-        return direct_assignment(r).swapped()
-
     if mu > 0.5:
-        return TechniqueDecision(assignment=direct_assignment(reg))
+        return TechniqueDecision(assignment=table(g))
+    # validated first so that an error names the caller's field, not its swap
+    transposed = table(validate_gains(g).swapped()).swapped()
     if mu < 0.5:
-        return TechniqueDecision(assignment=transposed_assignment(swapped_reg))
-    return TechniqueDecision(
-        assignment=direct_assignment(reg),
-        alternate=transposed_assignment(swapped_reg),
-    )
-
-
-def assignment_for_gains(g: LinkGains, mu: float) -> TechniqueDecision:
-    """Classify ``g`` (and its swap when needed) and look up techniques."""
-    mu = validate_mu(mu)
-    reg = classify(g)
-    swapped_reg = classify(g.swapped()) if mu <= 0.5 else None
-    return technique_lookup(reg, mu, swapped_reg)
+        return TechniqueDecision(assignment=transposed)
+    return TechniqueDecision(assignment=table(g), alternate=transposed)

@@ -1,6 +1,8 @@
 """Sweeps over relay positions that call the solver: the technique map,
-with the table-or-solver labelling rule it shares with ``twrc classify``,
-and the required-relay-power profile along a segment."""
+whose labels come from :func:`~twrc.regimes.technique_lookup` or, where
+the table does not cover the gains, the solver (the rule ``twrc
+classify`` shares), and the required-relay-power profile along a
+segment."""
 
 from __future__ import annotations
 
@@ -18,13 +20,12 @@ from .regimes import Regime, SchemeAssignment, TechniqueDecision, classify, tech
 __all__ = ["MapCell", "ProfilePoint", "regime_map", "relay_power_profile"]
 
 
-def technique_labels(g: LinkGains, reg: Regime, mu: float) -> tuple[TechniqueDecision, str]:
-    """Labels for gains ``g`` with ``reg = classify(g)``, and their source:
-    ``"table"`` when the technique table applies, else ``"solver"``. The
-    caller passes ``reg`` because it reports the regime too."""
-    swapped_reg = classify(g.swapped()) if mu <= 0.5 else None
+def technique_labels(g: LinkGains, mu: float) -> tuple[TechniqueDecision, str]:
+    """``technique_lookup(g, mu)`` and its source, ``"table"``, or the
+    solver's labels and ``"solver"`` when the technique table does not
+    cover ``g`` at ``mu``."""
     try:
-        return technique_lookup(reg, mu, swapped_reg=swapped_reg), "table"
+        return technique_lookup(g, mu), "table"
     except SideConditionError:
         return TechniqueDecision(assignment=solve(g, mu).assignment), "solver"
 
@@ -80,9 +81,8 @@ def regime_map(geom_template: Geometry = Geometry(),
             except CoincidentNodesError:
                 cells.append(MapCell(float(x), float(y), None, None, "skipped"))
                 continue
-            reg = classify(g)
-            decision, source = technique_labels(g, reg, mu)
-            cells.append(MapCell(float(x), float(y), reg, decision.assignment, source))
+            decision, source = technique_labels(g, mu)
+            cells.append(MapCell(float(x), float(y), classify(g), decision.assignment, source))
     return cells
 
 

@@ -31,9 +31,12 @@ corpus' six geometries at one weight, ``grid_best_records`` the oracle's
 ``grid_region_records`` the ``grid_region`` vertices and sources of
 every lattice restriction on the same draws, at step 0.05 and p/12,
 ``regime_map_records`` ``regime_map``'s cells at its defaults, the
-CLI's, and ``cli_outputs`` the output of ``twrc.cli.main``, run in this
-process, for ``classify``, ``solve``, ``region``, ``map`` and
-``relay-power`` at the README's example arguments (``CLI_RUNS``). A
+CLI's, and at the weights 1/4 and 1/2 (``MAP_MUS``), where its labels
+read the swapped gains, and ``cli_outputs`` the output of
+``twrc.cli.main``, run in this process, for ``classify``, ``solve``,
+``region``, ``map`` and ``relay-power`` at the README's example
+arguments, and for ``classify`` there also at ``--mu`` 0.25 and 0.5
+(``CLI_RUNS``). A
 digest is sha256 over a family's dicts as sorted-key JSON, every float
 as ``float.hex``, so two checkouts that print the same digest gave the
 same answers bit for bit.
@@ -100,12 +103,14 @@ MUS = (0.0, 0.25, 0.5, 0.75, 1.0)
 PROFILE_SAMPLES = 41
 CLOSED_FORM_MUS = (0.6, 0.75, 1.0)
 ORACLE_MUS = (0.25, 0.5, 0.75, 1.0)
+MAP_MUS = (0.75, 0.25, 0.5)
 # the README's command-line examples, the gains inline and every artifact
 # on stdout
 README_GAINS = ("--g12", "0.25", "--g21", "0.25", "--g1r", "0.5", "--gr1", "1", "--g2r", "0.7", "--gr2", "1")
 CLI_RUNS = (("classify", *README_GAINS), ("solve", *README_GAINS, "--mu", "0.75"),
             ("region", *README_GAINS, "--step", "0.05", "--restrict", "composite"),
-            ("map", "--resolution", "61"), ("relay-power", "--samples", "41"))
+            ("map", "--resolution", "61"), ("relay-power", "--samples", "41"),
+            ("classify", *README_GAINS, "--mu", "0.25"), ("classify", *README_GAINS, "--mu", "0.5"))
 
 
 def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -217,12 +222,13 @@ def grid_region_records() -> list[list[dict]]:
 
 
 def regime_map_records() -> list[dict]:
-    """``regime_map``'s cells at its defaults: per cell its position,
-    regime, labels and source."""
+    """``regime_map``'s cells at its defaults but for the weight, at each
+    weight of ``MAP_MUS``: per cell its position, regime, labels and
+    source."""
     return [{"x": c.x, "y": c.y, "source": c.source,
              "regime": None if c.regime is None else c.regime.to_dict(),
              "assignment": None if c.assignment is None else c.assignment.to_dict()}
-            for c in regime_map()]
+            for mu in MAP_MUS for c in regime_map(mu=mu)]
 
 
 def cli_outputs() -> list[str]:
@@ -272,7 +278,7 @@ def report():
         yield f"relay_power_profile mu {mu}: sha256 {_sha256(profile_records(mu))}"
     yield f"grid_best: sha256 {_sha256(grid_best_records())}"
     yield f"grid_region: sha256 {_sha256(chain.from_iterable(grid_region_records()))}"
-    yield f"regime_map at the defaults: sha256 {_sha256(regime_map_records())}"
+    yield f"regime_map at mu {', '.join(map(str, MAP_MUS))}: sha256 {_sha256(regime_map_records())}"
     yield (f"cli {', '.join(argv[0] for argv in CLI_RUNS)}: "
            f"sha256 {hashlib.sha256(''.join(cli_outputs()).encode()).hexdigest()}")
 

@@ -15,7 +15,6 @@ import time
 from twrc import (
     SchemeRestriction,
     TECHNIQUE_TABLE,
-    assignment_for_gains,
     check_full_power,
     classify,
     compute_constraints,
@@ -29,6 +28,7 @@ from twrc import (
     relay_power_profile,
     solve,
     solve_r2t5,
+    technique_lookup,
 )
 
 from helpers import (
@@ -212,7 +212,7 @@ def test_criterion_7_technique_map_reproduction(acceptance_record):
         for c in corners
     )
     mid_gains = gains_from_geometry(MAP_GEOMETRY.with_relay((10.0, 0.0)), p=1.0)
-    mid = assignment_for_gains(mid_gains, 0.75)
+    mid = technique_lookup(mid_gains, 0.75)
     mid_ok = (mid.assignment.user1.value, mid.assignment.user2.value) == ("Ind", "Ind")
     rng = random.Random(2031)
     table_cells = [c for c in cells if c.source == "table"]

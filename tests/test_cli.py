@@ -409,3 +409,16 @@ class TestParser:
     def test_missing_subcommand(self):
         proc = run_cli()
         assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("region", *gain_flags(R3T5_GAINS), "--step", "0.5"),
+    ("solve", *gain_flags(R3T5_GAINS)),
+    ("map", "--resolution", "2"),
+    ("relay-power", "--samples", "1"),
+], ids=["region", "solve", "map", "relay-power"])
+def test_unwritable_out_is_invalid_input(tmp_path, argv):
+    proc = run_cli(*argv, "--out", str(tmp_path / "missing" / "out"))
+    assert proc.returncode == 2
+    assert "error: cannot write" in proc.stderr
+    assert proc.stdout == ""

@@ -17,9 +17,7 @@ from twrc import (
     LinkGains,
     PowerAllocation,
     RateConstraints,
-    Regime,
     ValidationError,
-    assignment_for_gains,
     best_weighted_point,
     capacity,
     check_full_power,
@@ -50,7 +48,6 @@ G = R3T5_GAINS
 ALLOC = PowerAllocation(alpha1=0.25, beta1=0.75, alpha2=0.5, beta2=0.5, pw1=0.25, pw2=0.25, beta3=0.5)
 CONS = RateConstraints(j1=1.0, j2=1.0, j3=1.0, j4=1.0, j5=1.5)
 HULL = grid_region(G, step=0.5, restriction="direct")
-REG = Regime("R1", "T1", True)
 RESULT = solve(G, 0.75)
 
 # (name the message must contain, call taking the value, a value out of
@@ -58,8 +55,7 @@ RESULT = solve(G, 0.75)
 REALS = [
     ("mu", lambda v: solve(G, v), 1.5, 0.5),
     ("mu", lambda v: solve_r2t5(R2T5_GAINS, v), 0.5, 0.75),
-    ("mu", lambda v: technique_lookup(REG, v, REG), -0.25, 0.5),
-    ("mu", lambda v: assignment_for_gains(G, v), 1.5, 0.75),
+    ("mu", lambda v: technique_lookup(G, v), -0.25, 0.5),
     ("mu", lambda v: best_weighted_point(CONS, v), 1.5, 0.5),
     ("mu", lambda v: grid_best(G, [v], step=0.5), 1.5, 0.5),
     ("mu", lambda v: regime_map(resolution=2, mu=v), 1.5, 0.5),
@@ -95,7 +91,7 @@ REALS += [(name, lambda v, name=name: best_weighted_point(replace(CONS, **{name:
 # validates them with the functions above
 REALS += [("g12", lambda v, f=f: f(replace(R2T3_GAINS, g12=v)), -1.0, 0.25) for f in (
     classify, min_relay_power, lambda g: solve(g, 0.75),
-    lambda g: assignment_for_gains(g, 0.75),
+    lambda g: technique_lookup(g, 0.75),
     lambda g: grid_best(g, [0.75], step=0.5), lambda g: grid_region(g, step=0.5),
     lambda g: compute_constraints(g, ALLOC),
     lambda g: check_full_power(g, RESULT),
@@ -113,9 +109,9 @@ COUNTS = [
 ]
 
 # numbers of REALS rows removed with the functions they checked (a boundary
-# trace, the unreduced lattice search and the local box search), which no
-# row reuses
-RETIRED = {6, 7, 8, 13, 14, 56, 59, 61, *range(68, 75)}
+# trace, the unreduced lattice search, the local box search and a second
+# technique lookup by gains), which no row reuses
+RETIRED = {3, 6, 7, 8, 13, 14, 56, 59, 61, *range(68, 75)}
 
 NOT_REALS = ["0.5", None, 1j, math.nan, math.inf, -math.inf]
 # too large for a float, yet a valid count, so tried on REALS only

@@ -21,7 +21,6 @@ from twrc import (
     SchemeRestriction,
     TECHNIQUE_TABLE,
     ValidationError,
-    assignment_for_gains,
     classify,
     compute_constraints,
     gains_from_geometry,
@@ -32,6 +31,7 @@ from twrc import (
     regime_map,
     relay_power_profile,
     solve,
+    technique_lookup,
     validate_allocation,
 )
 
@@ -582,13 +582,12 @@ class TestRegimeMap:
 
     def test_labels_come_from_the_table_else_the_solver(self):
         for mu in (0.75, 0.5, 0.25):
-            decision, source = sweeps.technique_labels(R3T5_GAINS, classify(R3T5_GAINS), mu)
+            decision, source = sweeps.technique_labels(R3T5_GAINS, mu)
             assert source == "table"
-            assert decision == assignment_for_gains(R3T5_GAINS, mu)
+            assert decision == technique_lookup(R3T5_GAINS, mu)
         g = LinkGains(g12=1.0, g21=0.5, g1r=0.1, gr1=1.0, g2r=0.5, gr2=1.0, p=1.0)
-        reg = classify(g)
-        assert not reg.side_condition_holds
-        decision, source = sweeps.technique_labels(g, reg, 0.75)
+        assert not classify(g).side_condition_holds
+        decision, source = sweeps.technique_labels(g, 0.75)
         assert source == "solver"
         assert decision.assignment == solve(g, 0.75).assignment
 
@@ -599,9 +598,8 @@ class TestRegimeMap:
         g = LinkGains(g12=1.0, g21=0.5, g1r=g1r, gr1=1.0, g2r=0.5, gr2=0.5, p=1.0)
         t_cuts = regimes.thresholds(g)[3]
         assert (t_cuts[1] == t_cuts[2] == 2.0) is holds
-        reg = classify(g)
-        assert reg.side_condition_holds is holds
-        assert sweeps.technique_labels(g, reg, 0.75)[1] == expected
+        assert classify(g).side_condition_holds is holds
+        assert sweeps.technique_labels(g, 0.75)[1] == expected
 
     def test_resolution_validation(self):
         with pytest.raises(ValidationError, match="resolution"):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -7,12 +8,12 @@ from hypothesis import strategies as st
 
 from twrc import (
     LinkGains,
-    Regime,
+    SchemeAssignment,
     SideConditionError,
     TECHNIQUE_TABLE,
     Technique,
+    TechniqueDecision,
     ValidationError,
-    assignment_for_gains,
     classify,
     technique_lookup,
 )
@@ -95,45 +96,78 @@ class TestTechniqueTable:
 
 class TestTechniqueLookup:
     def test_user1_priority_uses_table_directly(self):
-        dec = technique_lookup(Regime("R2", "T5", True), 0.75)
+        dec = technique_lookup(sample_cell(random.Random(1), "R2", "T5"), 0.75)
         assert dec.assignment.user1 is Technique.IND
         assert dec.assignment.user2 is Technique.BM
         assert not dec.ambiguous
 
     def test_user2_priority_swaps_users_of_swapped_cell(self):
-        swapped_reg = Regime("R1", "T4", True)
-        dec = technique_lookup(Regime("R3", "T2", True), 0.25, swapped_reg)
+        g = sample_cell(random.Random(2), "R1", "T4").swapped()
+        dec = technique_lookup(g, 0.25)
         # swapped-gain cell (R1,T4) reads (DT, BM); users then exchange
         assert dec.assignment.user1 is Technique.BM
         assert dec.assignment.user2 is Technique.DT
 
     def test_equal_weights_return_both_orientations(self):
-        dec = technique_lookup(Regime("R1", "T2", True), 0.5, Regime("R2", "T1", True))
+        g = sample_cell(random.Random(0), "R1", "T2")
+        assert classify(g.swapped()).cell == ("R2", "T1")
+        dec = technique_lookup(g, 0.5)
         assert dec.ambiguous
         assert dec.assignment.user1 is Technique.DT
-        assert dec.alternate is not None
-
-    def test_low_weight_requires_swapped_classification(self):
-        with pytest.raises(ValidationError, match="swapped"):
-            technique_lookup(Regime("R1", "T1", True), 0.25)
+        # swapped-gain cell (R2,T1) reads (Ind, DT); users then exchange
+        assert dec.alternate == SchemeAssignment(user1=Technique.DT, user2=Technique.IND)
 
     def test_side_condition_failure_raises(self):
+        g = LinkGains(g12=1.0, g21=0.5, g1r=0.1, gr1=1.0, g2r=0.5, gr2=0.5, p=1.0)
         with pytest.raises(SideConditionError, match="numeric"):
-            technique_lookup(Regime("R1", "T1", False), 0.75)
+            technique_lookup(g, 0.75)
 
     def test_rejects_mu_out_of_range(self):
         with pytest.raises(ValidationError):
-            technique_lookup(Regime("R1", "T1", True), -0.1)
+            technique_lookup(R3T5_GAINS, -0.1)
 
     @pytest.mark.parametrize("mu", ["0.5", None, math.nan, math.inf])
     def test_rejects_mu_that_is_not_a_finite_number(self, mu):
         with pytest.raises(ValidationError, match="mu"):
-            technique_lookup(Regime("R1", "T1", True), mu, Regime("R1", "T1", True))
+            technique_lookup(R3T5_GAINS, mu)
+
+    def test_low_weight_names_the_callers_gain(self):
+        with pytest.raises(ValidationError, match="g12"):
+            technique_lookup(replace(R3T5_GAINS, g12=-1.0), 0.25)
+
+    def test_reads_the_table_in_every_cell_at_every_weight(self):
+        """The table at ``classify(g)`` for ``mu >= 1/2``, at
+        ``classify(g.swapped())`` with the users exchanged for ``mu <= 1/2``,
+        both at exactly 1/2. Draws whose swap fails the side condition are
+        covered by the table only for ``mu > 1/2``."""
+        rng = random.Random(33)
+        mixed = 0
+        for r in R_CELLS:
+            for t in T_CELLS:
+                while True:
+                    g = sample_cell(rng, r, t)
+                    direct = SchemeAssignment(*TECHNIQUE_TABLE[classify(g).cell])
+                    swapped = classify(g.swapped())
+                    if swapped.side_condition_holds:
+                        break
+                    mixed += 1
+                    for mu in (0.75, 1.0):
+                        assert technique_lookup(g, mu) == TechniqueDecision(direct)
+                    for mu in (0.0, 0.25, 0.5):
+                        with pytest.raises(SideConditionError):
+                            technique_lookup(g, mu)
+                mirrored = SchemeAssignment(*TECHNIQUE_TABLE[swapped.cell]).swapped()
+                for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
+                    dec = technique_lookup(g, mu)
+                    assert dec.assignment == (direct if mu >= 0.5 else mirrored)
+                    assert dec.alternate == (mirrored if mu == 0.5 else None)
+                    assert dec.ambiguous is (mu == 0.5)
+        assert mixed > 0
 
 
 class TestAssignmentForGains:
     def test_showcase_gains_both_users_composite(self):
-        dec = assignment_for_gains(R3T5_GAINS, 0.75)
+        dec = technique_lookup(R3T5_GAINS, 0.75)
         assert dec.assignment.user1 is Technique.BOTH
         assert dec.assignment.user2 is Technique.BOTH
 
@@ -144,8 +178,8 @@ class TestAssignmentForGains:
                 g = sample_cell(rng, r, t)
                 if not classify(g.swapped()).side_condition_holds:
                     continue
-                direct = assignment_for_gains(g, 0.75).assignment
-                mirrored = assignment_for_gains(g.swapped(), 0.25).assignment
+                direct = technique_lookup(g, 0.75).assignment
+                mirrored = technique_lookup(g.swapped(), 0.25).assignment
                 assert direct.user1 is mirrored.user2
                 assert direct.user2 is mirrored.user1
 
