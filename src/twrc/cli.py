@@ -2,9 +2,12 @@
 
 Subcommands: classify, region, solve, map, relay-power. Gains come from
 a JSON file (--gains), inline flags (--g12 .. --gr2), or a geometry file
-(--geometry); exactly one source. Outputs are deterministic: CSV numbers
-use 9 significant digits and JSON keys are sorted, so identical inputs
-produce byte-identical files. Rates are log base 2 throughout.
+(--geometry); exactly one source. region, map and relay-power each build
+one list of rows and write it through one writer, :func:`_write`, as CSV
+or, with --format json, inside a JSON payload. Outputs are deterministic:
+CSV numbers use 9 significant digits (NA where a value is missing) and
+JSON keys are sorted, so identical inputs produce byte-identical files.
+Rates are log base 2 throughout.
 
 Exit codes: 0 success, 2 invalid input, 3 grid cap exceeded, 1 other
 errors.
@@ -109,6 +112,19 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _write(args: argparse.Namespace, payload: dict, rows: list[dict], header: str,
+           keys: tuple[str, ...], summary: Optional[str] = None) -> None:
+    """Emit ``payload`` as JSON under ``--format json``, else ``header`` and
+    one CSV line per row over ``keys``: floats through :func:`_fmt`, None as NA."""
+    if args.format == "json":
+        text = _json_text(payload)
+    else:
+        lines = [header] + [",".join("NA" if v is None else v if isinstance(v, str) else _fmt(v)
+                                     for v in (row[k] for k in keys)) for row in rows]
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.out, summary)
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     g = _resolve_gains(args)
     mu = check_number("--mu", args.mu, 0.0, 1.0)
@@ -126,18 +142,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_region(args: argparse.Namespace) -> int:
     g = _resolve_gains(args)
     hull = grid_region(g, step=args.step, restriction=args.restrict)
-    summary = f"vertices={len(hull.vertices)} max_sum_rate={_fmt(hull.max_sum_rate)}"
-    if args.format == "json":
-        payload = {
-            "restriction": hull.restriction.value,
-            "step": hull.step,
-            "vertices": [v.to_dict() for v in hull.vertices],
-        }
-        _emit(_json_text(payload), args.out, summary)
-    else:
-        lines = ["r1,r2"]
-        lines += [f"{_fmt(v.r1)},{_fmt(v.r2)}" for v in hull.vertices]
-        _emit("\n".join(lines) + "\n", args.out, summary)
+    rows = [v.to_dict() for v in hull.vertices]
+    payload = {"restriction": hull.restriction.value, "step": hull.step, "vertices": rows}
+    _write(args, payload, rows, "r1,r2", ("r1", "r2"),
+           f"vertices={len(rows)} max_sum_rate={_fmt(hull.max_sum_rate)}")
     return 0
 
 
@@ -162,30 +170,14 @@ def cmd_map(args: argparse.Namespace) -> int:
     mu = check_number("--mu", args.mu, 0.0, 1.0)
     bounds = (args.xmin, args.xmax, args.ymin, args.ymax)
     cells = regime_map(geom, bounds=bounds, resolution=args.resolution, mu=mu, p=args.p)
-    if args.format == "json":
-        rows = []
-        for c in cells:
-            rows.append({
-                "x": c.x,
-                "y": c.y,
-                "r": None if c.regime is None else c.regime.r_index,
-                "t": None if c.regime is None else c.regime.t_index,
-                "user1": None if c.assignment is None else c.assignment.user1.value,
-                "user2": None if c.assignment is None else c.assignment.user2.value,
-                "source": c.source,
-            })
-        _emit(_json_text({"cells": rows}), args.out)
-    else:
-        lines = ["x,y,r_index,t_index,user1,user2"]
-        for c in cells:
-            if c.regime is None or c.assignment is None:
-                lines.append(f"{_fmt(c.x)},{_fmt(c.y)},NA,NA,NA,NA")
-            else:
-                lines.append(
-                    f"{_fmt(c.x)},{_fmt(c.y)},{c.regime.r_index},{c.regime.t_index},"
-                    f"{c.assignment.user1.value},{c.assignment.user2.value}"
-                )
-        _emit("\n".join(lines) + "\n", args.out)
+    rows = [{"x": c.x, "y": c.y,
+             "r": None if c.regime is None else c.regime.r_index,
+             "t": None if c.regime is None else c.regime.t_index,
+             "user1": None if c.assignment is None else c.assignment.user1.value,
+             "user2": None if c.assignment is None else c.assignment.user2.value,
+             "source": c.source} for c in cells]
+    _write(args, {"cells": rows}, rows, "x,y,r_index,t_index,user1,user2",
+           ("x", "y", "r", "t", "user1", "user2"))
     return 0
 
 
@@ -210,17 +202,9 @@ def cmd_relay_power(args: argparse.Namespace) -> int:
     points = relay_power_profile(
         geom, samples=args.samples, start=start, end=end, mu=mu, p=args.p)
     fractions = [pt.beta3 / args.p for pt in points] if args.p > 0 else [0.0 for _ in points]
-    summary = None
-    if fractions:
-        summary = (f"min_power_fraction={_fmt(min(fractions))} "
-                   f"max_power_fraction={_fmt(max(fractions))}")
-    if args.format == "json":
-        rows = [{"x": pt.x, "y": pt.y, "beta3": pt.beta3} for pt in points]
-        _emit(_json_text({"points": rows}), args.out, summary)
-    else:
-        lines = ["x,y,beta3"]
-        lines += [f"{_fmt(pt.x)},{_fmt(pt.y)},{_fmt(pt.beta3)}" for pt in points]
-        _emit("\n".join(lines) + "\n", args.out, summary)
+    rows = [{"x": pt.x, "y": pt.y, "beta3": pt.beta3} for pt in points]
+    _write(args, {"points": rows}, rows, "x,y,beta3", ("x", "y", "beta3"),
+           f"min_power_fraction={_fmt(min(fractions))} max_power_fraction={_fmt(max(fractions))}")
     return 0
 
 
@@ -301,15 +285,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GridCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TwrcError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, GridCapError) else 2 if isinstance(exc, ValidationError) else 1
 
 
 if __name__ == "__main__":

@@ -5,11 +5,11 @@ it enumerates reparameterized power allocations on a lattice, evaluates
 the five rate bounds at every point with
 :class:`~twrc.rate_region.RateKernel`, collects both pentagon corners, and
 convex-hulls the result. Restricted variants (block Markov only,
-independent only, direct only, time sharing) reuse the same machinery so
-containment comparisons are exact: every restricted lattice is a literal
-subset of the composite lattice. :func:`grid_best` skips the points and
-corners that cannot hold a weighted-sum maximum, and :func:`grid_region`
-the points that cannot survive its Pareto filter.
+independent only, time sharing) reuse the same machinery so containment
+comparisons are exact: every restricted lattice is a literal subset of
+the composite lattice (the direct-only hull is analytic). :func:`grid_best`
+skips the points and corners that cannot hold a weighted-sum maximum,
+and :func:`grid_region` the points that cannot survive its Pareto filter.
 
 Every lattice is a list of product pieces, user-1 points x user-2
 points x relay points (:func:`_pieces`), and none is materialized: each
@@ -293,17 +293,17 @@ def _validate_step(step: float, p: float) -> float:
     return step
 
 
-def _direct_hull(g: LinkGains, step: float) -> RegionHull:
-    kernel = RateKernel(g)
-    r1c, r2c = capacity(kernel.base2), capacity(kernel.base4)
-    corners = dict.fromkeys([(0.0, r2c), (r1c, r2c), (r1c, 0.0)])
-    vertices = tuple(RatePoint(r1=r1, r2=r2) for r1, r2 in corners)
-    return RegionHull(
-        vertices=vertices,
-        step=step,
-        restriction=SchemeRestriction.DIRECT_ONLY,
-        sources=(None,) * len(vertices),
-    )
+def _padded_hull(vertices: list[RatePoint], sources: list[Optional[PowerAllocation]], step: float,
+                 restriction: SchemeRestriction) -> RegionHull:
+    """The hull of a concave chain padded with the axis points (0, r2)
+    and (r1, 0) it stops short of, each with its neighbour's source."""
+    if vertices[0].r1 > 0.0:
+        vertices.insert(0, RatePoint(r1=0.0, r2=vertices[0].r2))
+        sources.insert(0, sources[0])
+    if vertices[-1].r2 > 0.0:
+        vertices.append(RatePoint(r1=vertices[-1].r1, r2=0.0))
+        sources.append(sources[-1])
+    return RegionHull(vertices=tuple(vertices), step=step, restriction=restriction, sources=tuple(sources))
 
 
 def grid_region(g: LinkGains, step: float = 0.05,
@@ -342,7 +342,8 @@ def grid_region(g: LinkGains, step: float = 0.05,
     step = _validate_step(step, g.p)
     p = g.p
     if restriction == SchemeRestriction.DIRECT_ONLY:
-        return _direct_hull(g, step)
+        kernel = RateKernel(g)
+        return _padded_hull([RatePoint(capacity(kernel.base2), capacity(kernel.base4))], [None], step, restriction)
     levels = _levels(p, step)
     n = len(levels)
     face = n * n * int(_simplex_counts(levels, p).sum())
@@ -378,18 +379,7 @@ def grid_region(g: LinkGains, step: float = 0.05,
     chain = _chain_indices(r1, r2)
     vertices = [RatePoint(r1=float(r1[i]), r2=float(r2[i])) for i in chain]
     sources = [PowerAllocation(*(float(c[i]) for c in powers)) for i in chain]
-    if vertices[0].r1 > 0.0:
-        vertices.insert(0, RatePoint(r1=0.0, r2=vertices[0].r2))
-        sources.insert(0, sources[0])
-    if vertices[-1].r2 > 0.0:
-        vertices.append(RatePoint(r1=vertices[-1].r1, r2=0.0))
-        sources.append(sources[-1])
-    return RegionHull(
-        vertices=tuple(vertices),
-        step=step,
-        restriction=restriction,
-        sources=tuple(sources),
-    )
+    return _padded_hull(vertices, sources, step, restriction)
 
 
 def grid_best(g: LinkGains, mus: Sequence[float], step: float = 0.025) -> list[float]:

@@ -20,8 +20,9 @@ making it compact.
 
 The bound formulas are written once, in :class:`RateKernel`, with their
 derivative entries in its ``table``, and the corner rule once, in
-:func:`pentagon_corner`; the solver and the grid oracle go through them,
-on floats or numpy arrays. There is no other copy of either.
+:func:`pentagon_corner`. The solver goes through both; the grid oracle
+through the kernel only, its crossing search matching the corner rule's
+floats, as the tests check with :func:`pentagon_corner` on arrays.
 """
 
 from __future__ import annotations

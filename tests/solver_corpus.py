@@ -35,8 +35,11 @@ CLI's, and at the weights 1/4 and 1/2 (``MAP_MUS``), where its labels
 read the swapped gains, and ``cli_outputs`` the output of
 ``twrc.cli.main``, run in this process, for ``classify``, ``solve``,
 ``region``, ``map`` and ``relay-power`` at the README's example
-arguments, and for ``classify`` there also at ``--mu`` 0.25 and 0.5
-(``CLI_RUNS``). A
+arguments, and for ``classify`` there also at ``--mu`` 0.25 and 0.5,
+then with ``--format json`` ``region`` at those gains (composite and
+``--restrict direct``), ``map --resolution 21`` and ``relay-power
+--samples 9``, and last ``classify`` at side-condition-failing gains,
+whose labels come from the solver (``CLI_RUNS``). A
 digest is sha256 over a family's dicts as sorted-key JSON, every float
 as ``float.hex``, so two checkouts that print the same digest gave the
 same answers bit for bit.
@@ -110,7 +113,12 @@ README_GAINS = ("--g12", "0.25", "--g21", "0.25", "--g1r", "0.5", "--gr1", "1", 
 CLI_RUNS = (("classify", *README_GAINS), ("solve", *README_GAINS, "--mu", "0.75"),
             ("region", *README_GAINS, "--step", "0.05", "--restrict", "composite"),
             ("map", "--resolution", "61"), ("relay-power", "--samples", "41"),
-            ("classify", *README_GAINS, "--mu", "0.25"), ("classify", *README_GAINS, "--mu", "0.5"))
+            ("classify", *README_GAINS, "--mu", "0.25"), ("classify", *README_GAINS, "--mu", "0.5"),
+            ("region", *README_GAINS, "--format", "json"),
+            ("region", *README_GAINS, "--restrict", "direct", "--format", "json"),
+            ("map", "--resolution", "21", "--format", "json"), ("relay-power", "--samples", "9", "--format", "json"),
+            # side-condition-failing gains: labels from the solver at this mu
+            ("classify", "--g12", "1", "--g21", "0.5", "--g1r", "0.1", "--gr1", "1", "--g2r", "0.5", "--gr2", "1"))
 
 
 def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:

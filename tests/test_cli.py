@@ -422,3 +422,31 @@ def test_unwritable_out_is_invalid_input(tmp_path, argv):
     assert proc.returncode == 2
     assert "error: cannot write" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, field, header, keys", [
+    (("region", *gain_flags(R3T5_GAINS), "--step", "0.25"), "vertices", "r1,r2", ("r1", "r2")),
+    (("region", *gain_flags(R3T5_GAINS), "--restrict", "direct"), "vertices", "r1,r2", ("r1", "r2")),
+    # the center cell puts the relay on user 1
+    (("map", "--xmin", "-10", "--xmax", "10", "--ymin", "-10", "--ymax", "10", "--resolution", "3"),
+     "cells", "x,y,r_index,t_index,user1,user2", ("x", "y", "r", "t", "user1", "user2")),
+    (("relay-power", "--samples", "5"), "points", "x,y,beta3", ("x", "y", "beta3")),
+], ids=["region", "region-direct", "map", "relay-power"])
+def test_csv_lines_match_json_rows(argv, field, header, keys):
+    as_csv, as_json = run_cli(*argv), run_cli(*argv, "--format", "json")
+    assert as_csv.returncode == as_json.returncode == 0, as_csv.stderr + as_json.stderr
+    assert as_csv.stderr == as_json.stderr  # the same summary
+    lines, rows = as_csv.stdout.splitlines(), json.loads(as_json.stdout)[field]
+    assert lines[0] == header
+    assert len(lines) == len(rows) + 1
+    skipped = 0
+    for line, row in zip(lines[1:], rows):
+        expected = []
+        for key in keys:
+            value = row[key]
+            if value is None:
+                assert row["source"] == "skipped", row
+                skipped += 1
+            expected.append("NA" if value is None else value if isinstance(value, str) else cli._fmt(value))
+        assert line == ",".join(expected)
+    assert skipped == (4 if field == "cells" else 0)

@@ -682,8 +682,10 @@ class TestRestrictionSemantics:
         assert hull.restriction is SchemeRestriction.DIRECT_ONLY
 
 
-class TestLocalAndAuditValidation:
-    # the local box search criterion 6 refines each solve answer with
+class TestReferenceSearches:
+    # the reference searches of oracle_reference.py: local_box_best, the
+    # box search criterion 6 refines each solve answer with, and
+    # unreduced_best, the search that confirms the full-power reductions
     center = PowerAllocation(alpha1=0.2, beta1=0.8, alpha2=0.3, beta2=0.7, pw1=0.1, pw2=0.2, beta3=0.7)
 
     def test_local_accepts_zero_radius_and_one_point(self):
